@@ -1,65 +1,64 @@
-"""Backend selection for the mod-p elimination kernel.
+"""The mod-p elimination kernel: Gauss-Jordan row reduction over GF(p).
 
-At import time the compiled extension is preferred; the pure-Python fallback
-is used when the extension is missing or when ``GMALIE_PURE`` is set in the
-environment.  ``set_backend`` exists for benchmarks and backend-equivalence
-tests; library code always goes through :func:`rref_mod_p`.
+Every GF(p) elimination in the package goes through :func:`rref_mod_p`:
+leftmost pivot column, first nonzero row, pivots normalized to 1, full
+clearing above and below.  It is plain Python on ints, so it holds for any
+modulus the field accepts.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _modp_py
-
-try:
-    from . import _modp as _compiled
-except ImportError:
-    _compiled = None
-
-if _compiled is not None:
-    import numpy as _np
-
-    def _rref_compiled(data, p):
-        arr = _np.array([list(r) for r in data], dtype=_np.int64)
-        pivots = _compiled.rref_mod_p_inplace(arr, p)
-        return arr.tolist(), list(pivots)
-
-
-def _available():
-    impls = {"pure": _modp_py.rref_mod_p}
-    if _compiled is not None:
-        impls["compiled"] = _rref_compiled
-    return impls
-
-
-def backends() -> dict:
-    """Mapping of backend name to its rref implementation."""
-    return dict(_available())
-
-
-_force_pure = os.environ.get("GMALIE_PURE", "") not in ("", "0")
-_active = "pure" if (_compiled is None or _force_pure) else "compiled"
-_impl = _available()[_active]
-
 
 def backend() -> str:
-    """Name of the active backend ("compiled" or "pure")."""
-    return _active
+    """Name of the elimination kernel, always ``"pure"``.
 
-
-def set_backend(name: str) -> None:
-    """Switch the active backend (benchmarking/testing hook)."""
-    global _active, _impl
-    impls = _available()
-    if name not in impls:
-        raise ValueError(f"backend {name!r} not available (have {sorted(impls)})")
-    _active = name
-    _impl = impls[name]
+    Kept as a stable identity: benchmark results record this value in their
+    environment fingerprint and refuse to compare runs whose fingerprints
+    differ.
+    """
+    return "pure"
 
 
 def rref_mod_p(data, p):
-    """Reduced row echelon form over GF(p) via the active backend."""
-    if not data or not data[0]:
-        return [list(r) for r in data], []
-    return _impl(data, p)
+    """Reduced row echelon form over GF(p).
+
+    ``data`` is a sequence of equal-length rows of ints in ``[0, p)``.
+    Returns ``(rows, pivot_cols)`` where ``rows`` is a fresh list of lists.
+    """
+    rows = [list(r) for r in data]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = -1
+        for i in range(r, nr):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        if pv != 1:
+            inv = pow(pv, -1, p)
+            for j in range(c, nc):
+                if prow[j]:
+                    prow[j] = prow[j] * inv % p
+        for i in range(nr):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                ri = rows[i]
+                for j in range(c, nc):
+                    pj = prow[j]
+                    if pj:
+                        ri[j] = (ri[j] - f * pj) % p
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows, pivots

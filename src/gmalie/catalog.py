@@ -8,8 +8,6 @@ full matrix algebras, and a one-dimensional trivial context.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .constructions import (
     ambient_commutative_context,
     field_algebra,
@@ -93,7 +91,6 @@ def _trivial_qqq_document() -> dict:
     return _context_document(ctx)
 
 
-@lru_cache(maxsize=None)
 def build_document(name: str) -> dict:
     if name == "example_sec4":
         return _sec4_document()

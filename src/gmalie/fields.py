@@ -38,10 +38,12 @@ class Field:
             if p is not None:
                 raise ValueError("the rationals take no modulus")
         elif kind == "GF":
+            # the bound comes first: it keeps trial division in is_prime
+            # under about 23k steps
+            if isinstance(p, int) and p >= 2**31:
+                raise ValueError("GF modulus must be below 2**31")
             if not isinstance(p, int) or not is_prime(p):
                 raise ValueError(f"GF modulus must be a prime integer, got {p!r}")
-            if p >= 2**31:
-                raise ValueError("GF modulus must fit in 31 bits")
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
@@ -161,5 +163,8 @@ def field_from_doc(doc) -> Field:
     if doc["kind"] == "Q":
         return QQ
     if doc["kind"] == "GF":
-        return GF(doc.get("p"))
+        p = doc.get("p")
+        if not isinstance(p, int):
+            raise DimensionMismatch(f"GF field needs an integer 'p', got {p!r}")
+        return GF(p)
     raise DimensionMismatch(f"unknown field kind {doc['kind']!r}")

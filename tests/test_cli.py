@@ -105,6 +105,21 @@ def test_validation_failures_exit_two(capsys, tmp_path):
     assert "validation failure" in err
 
 
+def test_large_modulus_exits_two(capsys, tmp_path, monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called for an out-of-range modulus")
+
+    monkeypatch.setattr("gmalie.fields.is_prime", no_trial_division)
+    doc = build_document("tri2_GF5")
+    doc["field"]["p"] = 2**61 - 1
+    bad = tmp_path / "big.json"
+    bad.write_text(render_json(doc))
+    code, _, err = run(capsys, "validate", "--input", str(bad))
+    assert code == 2
+    assert "validation failure" in err
+    assert "below 2**31" in err
+
+
 def test_characteristic_two_fuzz_exits_two(capsys):
     code, _, err = run(capsys, "fuzz", "--field", "2", "--count", "1")
     assert code == 2

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gmalie.errors import DimensionMismatch
 from gmalie.fields import GF, QQ, Field, field_from_doc, is_prime
 
 
@@ -48,6 +49,16 @@ def test_bad_moduli_rejected():
         Field("GF", 2**31 + 11)
 
 
+def test_large_modulus_rejected_before_primality_test(monkeypatch):
+    # 2**61 - 1 is prime; trial division on it would run for minutes
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) called for an out-of-range modulus")
+
+    monkeypatch.setattr("gmalie.fields.is_prime", no_trial_division)
+    with pytest.raises(ValueError, match="below 2\\*\\*31"):
+        Field("GF", 2**61 - 1)
+
+
 def test_is_prime():
     primes = [2, 3, 5, 7, 11, 97, 2**31 - 1]
     assert all(is_prime(p) for p in primes)
@@ -60,6 +71,9 @@ def test_identity_and_docs():
     assert QQ != GF(3)
     assert field_from_doc({"kind": "Q"}) == QQ
     assert field_from_doc({"kind": "GF", "p": 11}) == GF(11)
+    for bad in ([3], {"p": 3}, "3", 3.0, None):
+        with pytest.raises(DimensionMismatch):
+            field_from_doc({"kind": "GF", "p": bad})
     assert QQ.to_doc() == {"kind": "Q"}
     assert GF(11).to_doc() == {"kind": "GF", "p": 11}
 

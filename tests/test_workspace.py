@@ -109,3 +109,13 @@ def test_missing_context_lookup_raises_keyerror():
     ws = load_example("tri2_Q")
     with pytest.raises(KeyError):
         ws.context("H")
+
+
+def test_build_document_returns_a_fresh_document():
+    first = build_document("tri2_GF5")
+    first["field"]["p"] = 7
+    first["contexts"].clear()
+    second = build_document("tri2_GF5")
+    assert second["field"] == {"kind": "GF", "p": 5}
+    assert "G" in second["contexts"]
+    assert load_example("tri2_GF5").field.p == 5
