@@ -52,7 +52,6 @@ from .morita import (
 from .presentation import (
     CentralPresentation,
     CriteriaReport,
-    DerivationPresentation,
     LiePresentation,
     central_pair_subalgebra,
     check_central_parts,

@@ -35,7 +35,7 @@ from .constructions import (
     trivial_context,
     upper_triangular_algebra,
 )
-from .errors import CharacteristicTwoError, ConsistencyError
+from .errors import CharacteristicTwoError, ConsistencyError, PreconditionError
 from .fields import GF, Field
 from .gma import assemble, is_trivial, peirce
 from .morita import validate_context
@@ -176,6 +176,8 @@ def generate_contexts(config: FuzzConfig):
         raise CharacteristicTwoError(
             "fuzzing over characteristic two is rejected by the torsion gate"
         )
+    if config.count < 0:
+        raise PreconditionError(f"context count must be non-negative, got {config.count}")
     rng = random.Random(config.seed)
     base = [
         (label, dims, builder)
@@ -183,7 +185,9 @@ def generate_contexts(config: FuzzConfig):
         if _fits(dims, config.max_dims)
     ]
     if not base:
-        raise ValueError("dimension bounds exclude every catalog entry")
+        raise PreconditionError(
+            f"dimension bounds {config.max_dims} exclude every catalog entry"
+        )
     out = []
     for _ in range(config.count):
         roll = rng.random()

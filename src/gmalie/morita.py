@@ -85,16 +85,6 @@ class Bimodule:
             raise DimensionMismatch("right action coordinate mismatch")
         return _bilinear(self.field, self.right_action, m, b, self.dim)
 
-    def left_operator(self, a) -> Matrix:
-        """Matrix of m -> a.m."""
-        cols = [self.act_left(a, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, rows=self.dim)
-
-    def right_operator(self, b) -> Matrix:
-        """Matrix of m -> m.b."""
-        cols = [self.act_right(self.basis_vector(j), b) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, rows=self.dim)
-
 
 def _named_tensor(f, tensor, shape, label):
     try:
@@ -236,77 +226,54 @@ def validate_context(c: MoritaContext) -> list[Violation]:
 # -- faithfulness -------------------------------------------------------------
 
 
-def left_action_kernel(m: Bimodule):
-    """Subspace of the left algebra annihilating the whole module."""
+def _action_kernel(m: Bimodule, algebra: FDAlgebra, act):
+    """Subspace of ``algebra`` annihilating the whole module, where
+    ``act(x, p)`` is the action of x on the module element p."""
     blocks = []
     for j in range(m.dim):
-        cols = [
-            m.act_left(m.left.basis_vector(i), m.basis_vector(j))
-            for i in range(m.left.dim)
-        ]
+        cols = [act(algebra.basis_vector(i), m.basis_vector(j)) for i in range(algebra.dim)]
         blocks.append(Matrix.from_columns(m.field, cols, rows=m.dim))
     if not blocks:
-        return kernel(Matrix.zeros(m.field, 0, m.left.dim))
-    return kernel(Matrix.vstack(m.field, blocks, cols=m.left.dim))
+        return kernel(Matrix.zeros(m.field, 0, algebra.dim))
+    return kernel(Matrix.vstack(m.field, blocks, cols=algebra.dim))
+
+
+def left_action_kernel(m: Bimodule):
+    """Subspace of the left algebra annihilating the whole module."""
+    return _action_kernel(m, m.left, m.act_left)
 
 
 def right_action_kernel(m: Bimodule):
     """Subspace of the right algebra annihilating the whole module."""
-    blocks = []
-    for j in range(m.dim):
-        cols = [
-            m.act_right(m.basis_vector(j), m.right.basis_vector(i))
-            for i in range(m.right.dim)
-        ]
-        blocks.append(Matrix.from_columns(m.field, cols, rows=m.dim))
-    if not blocks:
-        return kernel(Matrix.zeros(m.field, 0, m.right.dim))
-    return kernel(Matrix.vstack(m.field, blocks, cols=m.right.dim))
+    return _action_kernel(m, m.right, lambda b, p: m.act_right(p, b))
 
 
-def _no_annihilating_pair_left(m: Bimodule, budget) -> TriState:
-    """Does a.x = 0 force a = 0 or x = 0?  Exact over small prime fields,
-    and for a one-dimensional acting algebra over any field (every nonzero
-    element acts as a scalar times the single basis operator)."""
+def _no_annihilating_pair(m: Bimodule, algebra: FDAlgebra, act, budget) -> TriState:
+    """Does x.p = 0 force x = 0 or p = 0, for x in ``algebra`` acting through
+    ``act(x, p)``?  Exact over small prime fields, and for a one-dimensional
+    acting algebra over any field (every nonzero element acts as a scalar
+    times the single basis operator)."""
     from .linalg import rref
 
     f = m.field
-    if m.left.dim == 1:
-        _, rank = rref(m.left_operator(m.left.basis_vector(0)))
+
+    def operator(x) -> Matrix:
+        cols = [act(x, m.basis_vector(j)) for j in range(m.dim)]
+        return Matrix.from_columns(f, cols, rows=m.dim)
+
+    if algebra.dim == 1:
+        _, rank = rref(operator(algebra.basis_vector(0)))
         return TriState.from_bool(rank == m.dim)
     zero = m.zero()
-    for i in range(m.left.dim):
+    for i in range(algebra.dim):
         for j in range(m.dim):
-            if m.act_left(m.left.basis_vector(i), m.basis_vector(j)) == zero:
+            if act(algebra.basis_vector(i), m.basis_vector(j)) == zero:
                 return TriState.FAILS
-    if f.is_prime_field and f.p ** m.left.dim <= budget:
-        for coords in itertools.product(range(f.p), repeat=m.left.dim):
+    if f.is_prime_field and f.p ** algebra.dim <= budget:
+        for coords in itertools.product(range(f.p), repeat=algebra.dim):
             if all(x == 0 for x in coords):
                 continue
-            _, rank = rref(m.left_operator(coords))
-            if rank < m.dim:
-                return TriState.FAILS
-        return TriState.HOLDS
-    return TriState.UNKNOWN
-
-
-def _no_annihilating_pair_right(m: Bimodule, budget) -> TriState:
-    from .linalg import rref
-
-    f = m.field
-    if m.right.dim == 1:
-        _, rank = rref(m.right_operator(m.right.basis_vector(0)))
-        return TriState.from_bool(rank == m.dim)
-    zero = m.zero()
-    for i in range(m.dim):
-        for j in range(m.right.dim):
-            if m.act_right(m.basis_vector(i), m.right.basis_vector(j)) == zero:
-                return TriState.FAILS
-    if f.is_prime_field and f.p ** m.right.dim <= budget:
-        for coords in itertools.product(range(f.p), repeat=m.right.dim):
-            if all(x == 0 for x in coords):
-                continue
-            _, rank = rref(m.right_operator(coords))
+            _, rank = rref(operator(coords))
             if rank < m.dim:
                 return TriState.FAILS
         return TriState.HOLDS
@@ -321,8 +288,10 @@ def strongly_faithful(m: Bimodule, budget: int = DEFAULT_BUDGET) -> TriState:
     """
     right_faithful = TriState.from_bool(right_action_kernel(m).dim == 0)
     left_faithful = TriState.from_bool(left_action_kernel(m).dim == 0)
-    clause_one = tri_all((right_faithful, _no_annihilating_pair_left(m, budget)))
-    clause_two = tri_all((left_faithful, _no_annihilating_pair_right(m, budget)))
+    left_pairs = _no_annihilating_pair(m, m.left, m.act_left, budget)
+    right_pairs = _no_annihilating_pair(m, m.right, lambda b, p: m.act_right(p, b), budget)
+    clause_one = tri_all((right_faithful, left_pairs))
+    clause_two = tri_all((left_faithful, right_pairs))
     return tri_any((clause_one, clause_two))
 
 

@@ -6,6 +6,7 @@ a pair of off-diagonal shift elements; derivations and central maps have
 the analogous presentations.  This module extracts the components from a
 map, rebuilds maps from components, validates the defining conditions of
 each presentation, and evaluates the properness criteria against them.
+A derivation presentation is a Lie presentation whose cross maps are zero.
 
 Extraction reads each component from the image of a block-embedded basis
 element (every component appears alone in some block of some probe);
@@ -14,7 +15,7 @@ probe order is fixed: first-diagonal, second-diagonal, upper, lower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .algebra import (
@@ -28,11 +29,18 @@ from .errors import ConsistencyError, DimensionMismatch, PreconditionError, Viol
 from .gma import CenterAnalysis, GMAlgebra, center_analysis
 from .linalg import Matrix, Subspace, inverse, kernel
 from .morita import left_action_kernel, right_action_kernel
-from .spaces import EndoMap, derivation_defect, is_proper, lie_defect
+from .spaces import (
+    EndoMap,
+    derivation_defect,
+    is_central_commutator_free,
+    is_derivation,
+    is_lie_derivation,
+    is_proper,
+    lie_defect,
+)
 
 __all__ = [
     "LiePresentation",
-    "DerivationPresentation",
     "CentralPresentation",
     "PresentationReport",
     "extract_lie",
@@ -59,7 +67,8 @@ class LiePresentation:
     on_a/on_b act on the diagonal blocks, on_m/on_n on the modules;
     a_to_center_b and b_to_center_a are the cross maps (their values are
     central in the opposite block); shift_m/shift_n generate the inner
-    off-diagonal part.
+    off-diagonal part.  Derivations use the same presentation with both
+    cross maps zero.
     """
 
     on_a: Matrix
@@ -68,18 +77,6 @@ class LiePresentation:
     on_n: Matrix
     a_to_center_b: Matrix
     b_to_center_a: Matrix
-    shift_m: tuple
-    shift_n: tuple
-
-
-@dataclass(frozen=True)
-class DerivationPresentation:
-    """Components of a derivation: a Lie presentation with zero cross maps."""
-
-    on_a: Matrix
-    on_b: Matrix
-    on_m: Matrix
-    on_n: Matrix
     shift_m: tuple
     shift_n: tuple
 
@@ -159,6 +156,21 @@ def _read_lie_parts(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
     )
 
 
+def _verified(g: GMAlgebra, endo: EndoMap, parts, matrix_of, check):
+    """Return the extracted ``parts`` after checking that they rebuild ``endo``
+    and satisfy their presentation conditions; a failure of either, for a
+    verified input map, indicates an implementation bug."""
+    if matrix_of(g, parts) != endo.matrix:
+        raise ConsistencyError("presentation rebuild does not reproduce the map")
+    report = check(g, parts)
+    if not report.ok:
+        raise ConsistencyError(
+            f"extracted components violate condition {report.failed[0]}: "
+            f"{report.first_violation()}"
+        )
+    return parts
+
+
 def extract_lie(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
     """Extract the presentation components of a Lie derivation.
 
@@ -172,51 +184,21 @@ def extract_lie(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
         raise PreconditionError(
             f"not a Lie derivation: bracket rule fails on basis pair {defect}"
         )
-    parts = _read_lie_parts(g, endo)
-    rebuilt = _lie_matrix(g, parts)
-    if rebuilt != endo.matrix:
-        raise ConsistencyError("presentation rebuild does not reproduce the map")
-    report = check_lie_parts(g, parts)
-    if not report.ok:
-        raise ConsistencyError(
-            f"extracted components violate condition {report.failed[0]}: "
-            f"{report.first_violation()}"
-        )
-    return parts
+    return _verified(g, endo, _read_lie_parts(g, endo), _lie_matrix, check_lie_parts)
 
 
-def extract_derivation(g: GMAlgebra, endo: EndoMap) -> DerivationPresentation:
-    """Extract the derivation presentation (cross maps are necessarily zero)."""
+def extract_derivation(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
+    """Extract the presentation of a derivation (cross maps are necessarily zero)."""
     defect = derivation_defect(g.algebra, endo)
     if defect is not None:
         raise PreconditionError(
             f"not a derivation: product rule fails on basis pair {defect}"
         )
-    lie_parts = _read_lie_parts(g, endo)
-    parts = DerivationPresentation(
-        on_a=lie_parts.on_a,
-        on_b=lie_parts.on_b,
-        on_m=lie_parts.on_m,
-        on_n=lie_parts.on_n,
-        shift_m=lie_parts.shift_m,
-        shift_n=lie_parts.shift_n,
-    )
-    rebuilt = _derivation_matrix(g, parts)
-    if rebuilt != endo.matrix:
-        raise ConsistencyError("presentation rebuild does not reproduce the map")
-    report = check_derivation_parts(g, parts)
-    if not report.ok:
-        raise ConsistencyError(
-            f"extracted components violate condition {report.failed[0]}: "
-            f"{report.first_violation()}"
-        )
-    return parts
+    return _verified(g, endo, _read_lie_parts(g, endo), _lie_matrix, check_derivation_parts)
 
 
 def extract_central(g: GMAlgebra, endo: EndoMap) -> CentralPresentation:
     """Extract the four center-valued components of a central map."""
-    from .spaces import is_central_commutator_free
-
     if not is_central_commutator_free(g.algebra, endo):
         raise PreconditionError("map is not central-valued vanishing on commutators")
     f = g.field
@@ -228,16 +210,7 @@ def extract_central(g: GMAlgebra, endo: EndoMap) -> CentralPresentation:
         a_to_center_b=Matrix.from_columns(f, [img[3] for img in a_imgs], rows=db),
         b_to_center_b=Matrix.from_columns(f, [img[3] for img in b_imgs], rows=db),
     )
-    rebuilt = _central_matrix(g, parts)
-    if rebuilt != endo.matrix:
-        raise ConsistencyError("presentation rebuild does not reproduce the map")
-    report = check_central_parts(g, parts)
-    if not report.ok:
-        raise ConsistencyError(
-            f"extracted components violate condition {report.failed[0]}: "
-            f"{report.first_violation()}"
-        )
-    return parts
+    return _verified(g, endo, parts, _central_matrix, check_central_parts)
 
 
 # -- reconstruction ---------------------------------------------------------------
@@ -294,24 +267,6 @@ def _lie_matrix(g: GMAlgebra, parts: LiePresentation) -> Matrix:
     return Matrix.from_columns(f, cols, rows=g.algebra.dim)
 
 
-def _derivation_matrix(g: GMAlgebra, parts: DerivationPresentation) -> Matrix:
-    f = g.field
-    da, dm, dn, db = g.block_dims
-    zero_cross_ab = Matrix.zeros(f, db, da)
-    zero_cross_ba = Matrix.zeros(f, da, db)
-    lie = LiePresentation(
-        on_a=parts.on_a,
-        on_b=parts.on_b,
-        on_m=parts.on_m,
-        on_n=parts.on_n,
-        a_to_center_b=zero_cross_ab,
-        b_to_center_a=zero_cross_ba,
-        shift_m=parts.shift_m,
-        shift_n=parts.shift_n,
-    )
-    return _lie_matrix(g, lie)
-
-
 def _central_matrix(g: GMAlgebra, parts: CentralPresentation) -> Matrix:
     c = g.context
     f = g.field
@@ -336,34 +291,30 @@ def _central_matrix(g: GMAlgebra, parts: CentralPresentation) -> Matrix:
     return Matrix.from_columns(f, cols, rows=g.algebra.dim)
 
 
+def _rebuild(g: GMAlgebra, parts, report, matrix_of, holds, what) -> EndoMap:
+    """Assemble ``parts``; when ``report`` says their conditions hold, the
+    result must have the property ``holds`` tests."""
+    endo = EndoMap(matrix_of(g, parts))
+    if report.ok and not holds(g.algebra, endo):
+        raise ConsistencyError(f"valid components rebuilt into a non-{what}")
+    return endo
+
+
 def rebuild_lie(g: GMAlgebra, parts: LiePresentation) -> EndoMap:
     """Assemble the block formula; when the presentation conditions hold the
     result is verified to satisfy the bracket rule."""
-    _check_lie_shapes(g, parts)
-    endo = EndoMap(_lie_matrix(g, parts))
-    if check_lie_parts(g, parts).ok and lie_defect(g.algebra, endo) is not None:
-        raise ConsistencyError("valid components rebuilt into a non-Lie-derivation")
-    return endo
+    report = check_lie_parts(g, parts)
+    return _rebuild(g, parts, report, _lie_matrix, is_lie_derivation, "Lie-derivation")
 
 
-def rebuild_derivation(g: GMAlgebra, parts: DerivationPresentation) -> EndoMap:
-    _check_derivation_shapes(g, parts)
-    endo = EndoMap(_derivation_matrix(g, parts))
-    if check_derivation_parts(g, parts).ok and derivation_defect(g.algebra, endo) is not None:
-        raise ConsistencyError("valid components rebuilt into a non-derivation")
-    return endo
+def rebuild_derivation(g: GMAlgebra, parts: LiePresentation) -> EndoMap:
+    report = check_derivation_parts(g, parts)
+    return _rebuild(g, parts, report, _lie_matrix, is_derivation, "derivation")
 
 
 def rebuild_central(g: GMAlgebra, parts: CentralPresentation) -> EndoMap:
-    from .spaces import is_central_commutator_free
-
-    _check_central_shapes(g, parts)
-    endo = EndoMap(_central_matrix(g, parts))
-    if check_central_parts(g, parts).ok and not is_central_commutator_free(
-        g.algebra, endo
-    ):
-        raise ConsistencyError("valid components rebuilt into a non-central map")
-    return endo
+    report = check_central_parts(g, parts)
+    return _rebuild(g, parts, report, _central_matrix, is_central_commutator_free, "central map")
 
 
 def _check_lie_shapes(g, parts):
@@ -377,21 +328,6 @@ def _check_lie_shapes(g, parts):
             (parts.on_n, dn, dn, "on_n"),
             (parts.a_to_center_b, db, da, "a_to_center_b"),
             (parts.b_to_center_a, da, db, "b_to_center_a"),
-        ],
-    )
-    if len(parts.shift_m) != dm or len(parts.shift_n) != dn:
-        raise DimensionMismatch("shift element length mismatch")
-
-
-def _check_derivation_shapes(g, parts):
-    da, dm, dn, db = g.block_dims
-    _check_parts_shapes(
-        g,
-        [
-            (parts.on_a, da, da, "on_a"),
-            (parts.on_b, db, db, "on_b"),
-            (parts.on_m, dm, dm, "on_m"),
-            (parts.on_n, dn, dn, "on_n"),
         ],
     )
     if len(parts.shift_m) != dm or len(parts.shift_n) != dn:
@@ -426,103 +362,59 @@ def _vec_sub(f, u, v):
     return tuple(f.sub(x, y) for x, y in zip(u, v))
 
 
-def check_lie_parts(g: GMAlgebra, parts: LiePresentation) -> PresentationReport:
-    """Check the Lie presentation conditions on all basis tuples."""
+def _module_compat(module, left: bool, diag: Matrix, phi: Matrix, chi: Matrix) -> list:
+    """Basis pairs breaking phi(x.p) = delta(x).p + x.phi(p) - p.chi(x), for x
+    acting on the module from the left, or the mirror rule
+    phi(p.x) = p.delta(x) + phi(p).x - chi(x).p when ``left`` is false; delta
+    is ``diag`` and the cross value chi(x) acts from the opposite side.  A
+    left pair is located as (x, p), a right pair as (p, x)."""
+    f = module.field
+    if left:
+        algebra, law = module.left, "left_product"
+        act, cross_act = module.act_left, lambda h, p: module.act_right(p, h)
+    else:
+        algebra, law = module.right, "right_product"
+        act, cross_act = lambda x, p: module.act_right(p, x), module.act_left
+    bad = []
+    for i in range(algebra.dim):
+        x = algebra.basis_vector(i)
+        dx = diag.column(i)
+        hx = chi.column(i)
+        for j in range(module.dim):
+            p = module.basis_vector(j)
+            lhs = phi.apply(act(x, p))
+            rhs = _vec_sub(f, _vec_add(f, act(dx, p), act(x, phi.column(j))), cross_act(hx, p))
+            if lhs != rhs:
+                bad.append(Violation(law, (i, j) if left else (j, i)))
+    return bad
+
+
+def _check_block_parts(g, parts, kind, defect, rule, cross) -> PresentationReport:
+    """The presentation conditions shared by Lie derivations and derivations.
+
+    ``defect`` is the rule the diagonal maps must obey (named ``rule`` in the
+    report) and ``cross`` returns the conditions on the two cross maps; the
+    module and pairing conditions carry the cross terms, which vanish for a
+    derivation.
+    """
     _check_lie_shapes(g, parts)
     c = g.context
     f = g.field
-    da, dm, dn, db = g.block_dims
-    bad = {
-        "diagonal_lie": [],
-        "cross_central": [],
-        "cross_kill_commutators": [],
-        "m_compat": [],
-        "n_compat": [],
-        "pairing_compat": [],
-    }
+    _, dm, dn, _ = g.block_dims
+    diagonal = []
+    for side, algebra, on in (("a", c.a, parts.on_a), ("b", c.b, parts.on_b)):
+        where = defect(algebra, EndoMap(on))
+        if where is not None:
+            diagonal.append(Violation(f"{rule}_on_{side}", where))
+    bad = {f"diagonal_{kind}": diagonal, **cross(g, parts)}
+    bad["m_compat"] = _module_compat(
+        c.m, True, parts.on_a, parts.on_m, parts.a_to_center_b
+    ) + _module_compat(c.m, False, parts.on_b, parts.on_m, parts.b_to_center_a)
+    bad["n_compat"] = _module_compat(
+        c.n, False, parts.on_a, parts.on_n, parts.a_to_center_b
+    ) + _module_compat(c.n, True, parts.on_b, parts.on_n, parts.b_to_center_a)
 
-    d_a = lie_defect(c.a, EndoMap(parts.on_a))
-    if d_a is not None:
-        bad["diagonal_lie"].append(Violation("bracket_rule_on_a", d_a))
-    d_b = lie_defect(c.b, EndoMap(parts.on_b))
-    if d_b is not None:
-        bad["diagonal_lie"].append(Violation("bracket_rule_on_b", d_b))
-
-    center_a = _center_of(c.a)
-    center_b = _center_of(c.b)
-    for i in range(da):
-        if not center_b.contains_vector(parts.a_to_center_b.column(i)):
-            bad["cross_central"].append(Violation("a_to_center_b_value", (i,)))
-    for j in range(db):
-        if not center_a.contains_vector(parts.b_to_center_a.column(j)):
-            bad["cross_central"].append(Violation("b_to_center_a_value", (j,)))
-
-    zero_b = (f.zero,) * db
-    zero_a = (f.zero,) * da
-    for idx, w in enumerate(commutator_span(c.a).basis.entries):
-        if parts.a_to_center_b.apply(w) != zero_b:
-            bad["cross_kill_commutators"].append(Violation("a_commutator", (idx,)))
-    for idx, w in enumerate(commutator_span(c.b).basis.entries):
-        if parts.b_to_center_a.apply(w) != zero_a:
-            bad["cross_kill_commutators"].append(Violation("b_commutator", (idx,)))
-
-    for i in range(da):
-        ea = c.a.basis_vector(i)
-        pa = parts.on_a.column(i)
-        ha = parts.a_to_center_b.column(i)
-        for j in range(dm):
-            em = c.m.basis_vector(j)
-            lhs = parts.on_m.apply(c.m.act_left(ea, em))
-            rhs = _vec_sub(
-                f,
-                _vec_add(
-                    f, c.m.act_left(pa, em), c.m.act_left(ea, parts.on_m.column(j))
-                ),
-                c.m.act_right(em, ha),
-            )
-            if lhs != rhs:
-                bad["m_compat"].append(Violation("left_product", (i, j)))
-        for j in range(dn):
-            en = c.n.basis_vector(j)
-            lhs = parts.on_n.apply(c.n.act_right(en, ea))
-            rhs = _vec_sub(
-                f,
-                _vec_add(
-                    f, c.n.act_right(en, pa), c.n.act_right(parts.on_n.column(j), ea)
-                ),
-                c.n.act_left(ha, en),
-            )
-            if lhs != rhs:
-                bad["n_compat"].append(Violation("right_product", (j, i)))
-    for i in range(db):
-        eb = c.b.basis_vector(i)
-        qb = parts.on_b.column(i)
-        hb = parts.b_to_center_a.column(i)
-        for j in range(dm):
-            em = c.m.basis_vector(j)
-            lhs = parts.on_m.apply(c.m.act_right(em, eb))
-            rhs = _vec_sub(
-                f,
-                _vec_add(
-                    f, c.m.act_right(em, qb), c.m.act_right(parts.on_m.column(j), eb)
-                ),
-                c.m.act_left(hb, em),
-            )
-            if lhs != rhs:
-                bad["m_compat"].append(Violation("right_product", (j, i)))
-        for j in range(dn):
-            en = c.n.basis_vector(j)
-            lhs = parts.on_n.apply(c.n.act_left(eb, en))
-            rhs = _vec_sub(
-                f,
-                _vec_add(
-                    f, c.n.act_left(qb, en), c.n.act_left(eb, parts.on_n.column(j))
-                ),
-                c.n.act_right(en, hb),
-            )
-            if lhs != rhs:
-                bad["n_compat"].append(Violation("left_product", (i, j)))
-
+    pairing = []
     for i in range(dm):
         em = c.m.basis_vector(i)
         fm = parts.on_m.column(i)
@@ -534,88 +426,57 @@ def check_lie_parts(g: GMAlgebra, parts: LiePresentation) -> PresentationReport:
             lhs1 = _vec_sub(f, parts.on_a.apply(mn), parts.b_to_center_a.apply(nm))
             rhs1 = _vec_add(f, c.pair_mn_apply(em, gn), c.pair_mn_apply(fm, en))
             if lhs1 != rhs1:
-                bad["pairing_compat"].append(Violation("first_block", (i, j)))
+                pairing.append(Violation("first_block", (i, j)))
             lhs2 = _vec_sub(f, parts.on_b.apply(nm), parts.a_to_center_b.apply(mn))
             rhs2 = _vec_add(f, c.pair_nm_apply(gn, em), c.pair_nm_apply(en, fm))
             if lhs2 != rhs2:
-                bad["pairing_compat"].append(Violation("second_block", (i, j)))
+                pairing.append(Violation("second_block", (i, j)))
+    bad["pairing_compat"] = pairing
+    return PresentationReport(kind, {k: tuple(v) for k, v in bad.items()})
 
-    return PresentationReport("lie", {k: tuple(v) for k, v in bad.items()})
 
-
-def check_derivation_parts(g: GMAlgebra, parts: DerivationPresentation) -> PresentationReport:
-    """Check the derivation presentation conditions on all basis tuples."""
-    _check_derivation_shapes(g, parts)
+def _cross_central(g, parts) -> dict:
+    """Lie cross maps: values central in the opposite block, commutators killed."""
     c = g.context
-    f = g.field
-    da, dm, dn, db = g.block_dims
-    bad = {
-        "diagonal_derivation": [],
-        "m_compat": [],
-        "n_compat": [],
-        "pairing_compat": [],
-    }
-    d_a = derivation_defect(c.a, EndoMap(parts.on_a))
-    if d_a is not None:
-        bad["diagonal_derivation"].append(Violation("product_rule_on_a", d_a))
-    d_b = derivation_defect(c.b, EndoMap(parts.on_b))
-    if d_b is not None:
-        bad["diagonal_derivation"].append(Violation("product_rule_on_b", d_b))
+    central, kill = [], []
+    for side, name, cross, source, target in (
+        ("a", "a_to_center_b", parts.a_to_center_b, c.a, c.b),
+        ("b", "b_to_center_a", parts.b_to_center_a, c.b, c.a),
+    ):
+        center_t = _center_of(target)
+        for i in range(cross.cols):
+            if not center_t.contains_vector(cross.column(i)):
+                central.append(Violation(f"{name}_value", (i,)))
+        for idx, w in enumerate(commutator_span(source).basis.entries):
+            if any(cross.apply(w)):
+                kill.append(Violation(f"{side}_commutator", (idx,)))
+    return {"cross_central": central, "cross_kill_commutators": kill}
 
-    for i in range(da):
-        ea = c.a.basis_vector(i)
-        pa = parts.on_a.column(i)
-        for j in range(dm):
-            em = c.m.basis_vector(j)
-            lhs = parts.on_m.apply(c.m.act_left(ea, em))
-            rhs = _vec_add(
-                f, c.m.act_left(pa, em), c.m.act_left(ea, parts.on_m.column(j))
-            )
-            if lhs != rhs:
-                bad["m_compat"].append(Violation("left_product", (i, j)))
-        for j in range(dn):
-            en = c.n.basis_vector(j)
-            lhs = parts.on_n.apply(c.n.act_right(en, ea))
-            rhs = _vec_add(
-                f, c.n.act_right(en, pa), c.n.act_right(parts.on_n.column(j), ea)
-            )
-            if lhs != rhs:
-                bad["n_compat"].append(Violation("right_product", (j, i)))
-    for i in range(db):
-        eb = c.b.basis_vector(i)
-        qb = parts.on_b.column(i)
-        for j in range(dm):
-            em = c.m.basis_vector(j)
-            lhs = parts.on_m.apply(c.m.act_right(em, eb))
-            rhs = _vec_add(
-                f, c.m.act_right(em, qb), c.m.act_right(parts.on_m.column(j), eb)
-            )
-            if lhs != rhs:
-                bad["m_compat"].append(Violation("right_product", (j, i)))
-        for j in range(dn):
-            en = c.n.basis_vector(j)
-            lhs = parts.on_n.apply(c.n.act_left(eb, en))
-            rhs = _vec_add(
-                f, c.n.act_left(qb, en), c.n.act_left(eb, parts.on_n.column(j))
-            )
-            if lhs != rhs:
-                bad["n_compat"].append(Violation("left_product", (i, j)))
 
-    for i in range(dm):
-        em = c.m.basis_vector(i)
-        fm = parts.on_m.column(i)
-        for j in range(dn):
-            en = c.n.basis_vector(j)
-            gn = parts.on_n.column(j)
-            lhs1 = parts.on_a.apply(c.pair_mn_apply(em, en))
-            rhs1 = _vec_add(f, c.pair_mn_apply(em, gn), c.pair_mn_apply(fm, en))
-            if lhs1 != rhs1:
-                bad["pairing_compat"].append(Violation("first_block", (i, j)))
-            lhs2 = parts.on_b.apply(c.pair_nm_apply(en, em))
-            rhs2 = _vec_add(f, c.pair_nm_apply(gn, em), c.pair_nm_apply(en, fm))
-            if lhs2 != rhs2:
-                bad["pairing_compat"].append(Violation("second_block", (i, j)))
-    return PresentationReport("derivation", {k: tuple(v) for k, v in bad.items()})
+def _cross_zero(g, parts) -> dict:
+    """Derivation cross maps: every value is zero."""
+    crosses = (("a_to_center_b", parts.a_to_center_b), ("b_to_center_a", parts.b_to_center_a))
+    nonzero = [
+        Violation(f"{name}_value", (i,))
+        for name, cross in crosses
+        for i in range(cross.cols)
+        if any(cross.column(i))
+    ]
+    return {"cross_zero": nonzero}
+
+
+def check_lie_parts(g: GMAlgebra, parts: LiePresentation) -> PresentationReport:
+    """Check the Lie presentation conditions on all basis tuples."""
+    return _check_block_parts(g, parts, "lie", lie_defect, "bracket_rule", _cross_central)
+
+
+def check_derivation_parts(g: GMAlgebra, parts: LiePresentation) -> PresentationReport:
+    """Check the derivation presentation conditions on all basis tuples:
+    those of a Lie presentation with zero cross maps and the product rule on
+    the diagonal maps."""
+    return _check_block_parts(
+        g, parts, "derivation", derivation_defect, "product_rule", _cross_zero
+    )
 
 
 def check_central_parts(g: GMAlgebra, parts: CentralPresentation) -> PresentationReport:
@@ -827,58 +688,35 @@ def properness_criteria(
 
 
 def _build_decomposition(g: GMAlgebra, parts: LiePresentation, analysis: CenterAnalysis):
-    """Derivation + central map splitting, built from the companion maps and
-    re-validated clause by clause."""
-    c = g.context
+    """Derivation + central map splitting, built from the companion maps; each
+    part must satisfy its presentation conditions."""
     f = g.field
-    da, dm, dn, db = g.block_dims
+    da, _, _, db = g.block_dims
     comp_a, comp_b = companion_central_maps(g, parts, analysis)
-
-    if derivation_defect(c.a, EndoMap(parts.on_a - comp_a)) is not None:
-        raise ConsistencyError("first diagonal minus companion is not a derivation")
-    if derivation_defect(c.b, EndoMap(parts.on_b - comp_b)) is not None:
-        raise ConsistencyError("second diagonal minus companion is not a derivation")
-
-    zero_m = (f.zero,) * dm
-    zero_n = (f.zero,) * dn
-    for i in range(da):
-        pair = g.embed(comp_a.column(i), zero_m, zero_n, parts.a_to_center_b.column(i))
-        if not analysis.center.contains_vector(pair):
-            raise ConsistencyError("companion pair for the first diagonal not central")
-    for j in range(db):
-        pair = g.embed(parts.b_to_center_a.column(j), zero_m, zero_n, comp_b.column(j))
-        if not analysis.center.contains_vector(pair):
-            raise ConsistencyError("companion pair for the second diagonal not central")
-    for i in range(dm):
-        em = c.m.basis_vector(i)
-        for j in range(dn):
-            en = c.n.basis_vector(j)
-            mn = c.pair_mn_apply(em, en)
-            nm = c.pair_nm_apply(en, em)
-            if comp_a.apply(mn) != parts.b_to_center_a.apply(nm):
-                raise ConsistencyError("companion maps break the pairing identity")
-            if comp_b.apply(nm) != parts.a_to_center_b.apply(mn):
-                raise ConsistencyError("companion maps break the pairing identity")
-
-    d_map = rebuild_derivation(
-        g,
-        DerivationPresentation(
-            on_a=parts.on_a - comp_a,
-            on_b=parts.on_b - comp_b,
-            on_m=parts.on_m,
-            on_n=parts.on_n,
-            shift_m=parts.shift_m,
-            shift_n=parts.shift_n,
-        ),
+    d_parts = replace(
+        parts,
+        on_a=parts.on_a - comp_a,
+        on_b=parts.on_b - comp_b,
+        a_to_center_b=Matrix.zeros(f, db, da),
+        b_to_center_a=Matrix.zeros(f, da, db),
     )
-    c_map = rebuild_central(
-        g,
-        CentralPresentation(
-            a_to_center_a=comp_a,
-            b_to_center_a=parts.b_to_center_a,
-            a_to_center_b=parts.a_to_center_b,
-            b_to_center_b=comp_b,
-        ),
+    c_parts = CentralPresentation(
+        a_to_center_a=comp_a,
+        b_to_center_a=parts.b_to_center_a,
+        a_to_center_b=parts.a_to_center_b,
+        b_to_center_b=comp_b,
+    )
+    d_report = check_derivation_parts(g, d_parts)
+    c_report = check_central_parts(g, c_parts)
+    for report in (d_report, c_report):
+        if not report.ok:
+            raise ConsistencyError(
+                f"companion {report.kind} part violates condition {report.failed[0]}: "
+                f"{report.first_violation()}"
+            )
+    d_map = _rebuild(g, d_parts, d_report, _lie_matrix, is_derivation, "derivation")
+    c_map = _rebuild(
+        g, c_parts, c_report, _central_matrix, is_central_commutator_free, "central map"
     )
     if d_map.matrix + c_map.matrix != _lie_matrix(g, parts):
         raise ConsistencyError("decomposition parts do not sum to the map")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gmalie.catalog import build_document
 from gmalie.cli import main
 from gmalie.workspace import render_json
@@ -132,3 +134,16 @@ def test_file_input_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "analyze", "--input", str(path), "--format", "json")
     assert code == 0
     assert json.loads(out)["spaces"]["lie_derivations"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--max-dim", "0"), ("--max-dim", "-1"), ("--count", "-1")],
+    ids=["max-dim-0", "max-dim-negative", "count-negative"],
+)
+def test_fuzz_out_of_range_bounds_exit_two(capsys, argv):
+    code, out, err = run(capsys, "fuzz", "--seed", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition failure: ")
+    assert "Traceback" not in err

@@ -1,6 +1,6 @@
 import pytest
 
-from gmalie.errors import CharacteristicTwoError
+from gmalie.errors import CharacteristicTwoError, PreconditionError
 from gmalie.fields import GF, QQ
 from gmalie.fuzzing import FuzzConfig, fuzz, generate_contexts
 from gmalie.morita import validate_context
@@ -64,3 +64,15 @@ def test_fuzz_rejects_characteristic_two():
 def test_fuzz_over_the_rationals_small():
     report = fuzz(FuzzConfig(seed=4, count=6, field=QQ))
     assert report.ok
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_bounds_excluding_every_entry_are_refused(bound):
+    with pytest.raises(PreconditionError, match="exclude every catalog entry"):
+        generate_contexts(FuzzConfig(seed=1, count=3, max_dims=(bound,) * 4))
+
+
+def test_negative_count_is_refused():
+    with pytest.raises(PreconditionError, match="non-negative"):
+        generate_contexts(FuzzConfig(seed=1, count=-1))
+    assert generate_contexts(FuzzConfig(seed=1, count=0)) == []

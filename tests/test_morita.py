@@ -1,3 +1,5 @@
+import pytest
+
 from gmalie.constructions import (
     ambient_commutative_context,
     dual_numbers,
@@ -10,11 +12,14 @@ from gmalie.constructions import (
     triangular_context,
     zero_bimodule,
 )
+from gmalie.algebra import DEFAULT_BUDGET, FDAlgebra
 from gmalie.fields import GF, QQ
+from gmalie.fuzzing import _catalog
 from gmalie.gma import peirce
 from gmalie.morita import (
     Bimodule,
     MoritaContext,
+    _no_annihilating_pair,
     faithfulness,
     left_action_kernel,
     right_action_kernel,
@@ -127,11 +132,14 @@ def test_one_dimensional_side_is_decided_without_enumeration():
     assert strongly_faithful(ctx.m, budget=0) is TriState.HOLDS
     ctx_q = peirce(matrix_algebra(QQ, 3), _e11(QQ, 3))
     assert strongly_faithful(ctx_q.m) is TriState.HOLDS
+    # the dual numbers have an annihilating pair, so only the clause through
+    # the one-dimensional right algebra can hold, on either side of the mirror
+    m = left_regular_bimodule(dual_numbers(QQ), field_algebra(QQ))
+    assert strongly_faithful(m) is TriState.HOLDS
+    assert strongly_faithful(_opposite(m)) is TriState.HOLDS
 
 
 def _quadratic_extension(field):
-    from gmalie.algebra import FDAlgebra
-
     tensor = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     tensor[0][0] = [1, 0]
     tensor[0][1] = [0, 1]
@@ -175,3 +183,37 @@ def test_context_validation_agrees_with_assembly():
     ctx = peirce(matrix_algebra(GF(3), 2), _e11(GF(3), 2))
     assert validate_context(ctx) == []
     assemble(ctx)
+
+
+def _opposite_algebra(a):
+    structure = [[a.structure[j][i] for j in range(a.dim)] for i in range(a.dim)]
+    return FDAlgebra(a.field, a.dim, structure, a.unit)
+
+
+def _opposite(m):
+    """M as a (right^op, left^op)-bimodule: b acts on the left as x -> x.b and
+    a on the right as x -> a.x, so both action tensors are transposed."""
+    left = [[m.right_action[j][i] for j in range(m.dim)] for i in range(m.right.dim)]
+    right = [[m.left_action[j][i] for j in range(m.left.dim)] for i in range(m.dim)]
+    return Bimodule(_opposite_algebra(m.right), _opposite_algebra(m.left), m.dim, left, right)
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["GF3", "QQ"])
+def test_right_side_checks_are_left_checks_on_the_opposite_module(field):
+    one_dimensional_sides = 0
+    for label, _, build in _catalog(field):
+        ctx = build()
+        for m in (ctx.m, ctx.n):
+            op = _opposite(m)
+            assert validate_bimodule(op) == [], label
+            assert right_action_kernel(m) == left_action_kernel(op), label
+            assert left_action_kernel(m) == right_action_kernel(op), label
+            # the two clauses of strong faithfulness trade places
+            assert strongly_faithful(m) is strongly_faithful(op), label
+            right_pairs = _no_annihilating_pair(
+                m, m.right, lambda b, p: m.act_right(p, b), DEFAULT_BUDGET
+            )
+            assert right_pairs is _no_annihilating_pair(op, op.left, op.act_left, DEFAULT_BUDGET)
+            one_dimensional_sides += (m.left.dim == 1) + (m.right.dim == 1)
+    assert one_dimensional_sides > 0
+

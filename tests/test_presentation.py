@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from gmalie.constructions import (
     regular_bimodule,
     triangular_context,
 )
-from gmalie.errors import PreconditionError
+from gmalie.errors import PreconditionError, Violation
 from gmalie.fields import GF, QQ
 from gmalie.gma import assemble, center_analysis, peirce
 from gmalie.linalg import Matrix
@@ -250,3 +251,303 @@ def test_rebuild_checks_reject_shape_mismatches():
                 b_to_center_b=Matrix.zeros(GF(3), 1, 1),
             ),
         )
+
+
+# -- pinned condition reports ---------------------------------------------------
+
+LIE_CONDITIONS = (
+    "diagonal_lie",
+    "cross_central",
+    "cross_kill_commutators",
+    "m_compat",
+    "n_compat",
+    "pairing_compat",
+)
+DERIVATION_CONDITIONS = (
+    "diagonal_derivation",
+    "cross_zero",
+    "m_compat",
+    "n_compat",
+    "pairing_compat",
+)
+BUMPED = ("on_a", "on_b", "on_m", "on_n", "shift_m", "a_to_center_b", "b_to_center_a")
+
+# (example, kind, bumped component) -> the nonempty conditions of the report,
+# each as its (law, where) list.  The base presentation is that of the sum of
+# the basis Lie derivations (kind "lie") or derivations (kind "derivation");
+# the bump adds one to the first entry of the component.
+PINNED_REPORTS = {
+    ("mat2_GF3_peirce", "lie", "on_a"): {
+        "m_compat": [("left_product", (0, 0))],
+        "n_compat": [("right_product", (0, 0))],
+        "pairing_compat": [("first_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "lie", "on_b"): {
+        "m_compat": [("right_product", (0, 0))],
+        "n_compat": [("left_product", (0, 0))],
+        "pairing_compat": [("second_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "lie", "on_m"): {
+        "pairing_compat": [("first_block", (0, 0)), ("second_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "lie", "on_n"): {
+        "pairing_compat": [("first_block", (0, 0)), ("second_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "lie", "shift_m"): {},
+    ("mat2_GF3_peirce", "lie", "a_to_center_b"): {
+        "m_compat": [("left_product", (0, 0))],
+        "n_compat": [("right_product", (0, 0))],
+        "pairing_compat": [("second_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "lie", "b_to_center_a"): {
+        "m_compat": [("right_product", (0, 0))],
+        "n_compat": [("left_product", (0, 0))],
+        "pairing_compat": [("first_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "derivation", "on_a"): {
+        "diagonal_derivation": [("product_rule_on_a", (0, 0))],
+        "m_compat": [("left_product", (0, 0))],
+        "n_compat": [("right_product", (0, 0))],
+        "pairing_compat": [("first_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "derivation", "on_b"): {
+        "diagonal_derivation": [("product_rule_on_b", (0, 0))],
+        "m_compat": [("right_product", (0, 0))],
+        "n_compat": [("left_product", (0, 0))],
+        "pairing_compat": [("second_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "derivation", "on_m"): {
+        "pairing_compat": [("first_block", (0, 0)), ("second_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "derivation", "on_n"): {
+        "pairing_compat": [("first_block", (0, 0)), ("second_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "derivation", "shift_m"): {},
+    ("mat2_GF3_peirce", "derivation", "a_to_center_b"): {
+        "cross_zero": [("a_to_center_b_value", (0,))],
+        "m_compat": [("left_product", (0, 0))],
+        "n_compat": [("right_product", (0, 0))],
+        "pairing_compat": [("second_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "derivation", "b_to_center_a"): {
+        "cross_zero": [("b_to_center_a_value", (0,))],
+        "m_compat": [("right_product", (0, 0))],
+        "n_compat": [("left_product", (0, 0))],
+        "pairing_compat": [("first_block", (0, 0))],
+    },
+    ("mat3_GF3_peirce", "lie", "on_a"): {
+        "m_compat": [("left_product", (0, 0)), ("left_product", (0, 1))],
+        "n_compat": [("right_product", (0, 0)), ("right_product", (1, 0))],
+        "pairing_compat": [("first_block", (0, 0)), ("first_block", (1, 1))],
+    },
+    ("mat3_GF3_peirce", "lie", "on_b"): {
+        "diagonal_lie": [("bracket_rule_on_b", (0, 1))],
+        "m_compat": [("right_product", (0, 0))],
+        "n_compat": [("left_product", (0, 0))],
+        "pairing_compat": [("second_block", (0, 0))],
+    },
+    ("mat3_GF3_peirce", "lie", "on_m"): {
+        "m_compat": [("right_product", (0, 1)), ("right_product", (1, 2))],
+        "pairing_compat": [
+            ("first_block", (0, 0)),
+            ("second_block", (0, 0)),
+            ("second_block", (0, 1)),
+        ],
+    },
+    ("mat3_GF3_peirce", "lie", "on_n"): {
+        "n_compat": [("left_product", (1, 1)), ("left_product", (2, 0))],
+        "pairing_compat": [
+            ("first_block", (0, 0)),
+            ("second_block", (0, 0)),
+            ("second_block", (1, 0)),
+        ],
+    },
+    ("mat3_GF3_peirce", "lie", "shift_m"): {},
+    ("mat3_GF3_peirce", "lie", "a_to_center_b"): {
+        "cross_central": [("a_to_center_b_value", (0,))],
+        "m_compat": [("left_product", (0, 0))],
+        "n_compat": [("right_product", (0, 0))],
+        "pairing_compat": [("second_block", (0, 0)), ("second_block", (1, 1))],
+    },
+    ("mat3_GF3_peirce", "lie", "b_to_center_a"): {
+        "cross_kill_commutators": [("b_commutator", (0,))],
+        "m_compat": [("right_product", (0, 0)), ("right_product", (1, 0))],
+        "n_compat": [("left_product", (0, 0)), ("left_product", (0, 1))],
+        "pairing_compat": [("first_block", (0, 0))],
+    },
+    ("mat3_GF3_peirce", "derivation", "on_a"): {
+        "diagonal_derivation": [("product_rule_on_a", (0, 0))],
+        "m_compat": [("left_product", (0, 0)), ("left_product", (0, 1))],
+        "n_compat": [("right_product", (0, 0)), ("right_product", (1, 0))],
+        "pairing_compat": [("first_block", (0, 0)), ("first_block", (1, 1))],
+    },
+    ("mat3_GF3_peirce", "derivation", "on_b"): {
+        "diagonal_derivation": [("product_rule_on_b", (0, 0))],
+        "m_compat": [("right_product", (0, 0))],
+        "n_compat": [("left_product", (0, 0))],
+        "pairing_compat": [("second_block", (0, 0))],
+    },
+    ("mat3_GF3_peirce", "derivation", "on_m"): {
+        "m_compat": [("right_product", (0, 1)), ("right_product", (1, 2))],
+        "pairing_compat": [
+            ("first_block", (0, 0)),
+            ("second_block", (0, 0)),
+            ("second_block", (0, 1)),
+        ],
+    },
+    ("mat3_GF3_peirce", "derivation", "on_n"): {
+        "n_compat": [("left_product", (1, 1)), ("left_product", (2, 0))],
+        "pairing_compat": [
+            ("first_block", (0, 0)),
+            ("second_block", (0, 0)),
+            ("second_block", (1, 0)),
+        ],
+    },
+    ("mat3_GF3_peirce", "derivation", "shift_m"): {},
+    ("mat3_GF3_peirce", "derivation", "a_to_center_b"): {
+        "cross_zero": [("a_to_center_b_value", (0,))],
+        "m_compat": [("left_product", (0, 0))],
+        "n_compat": [("right_product", (0, 0))],
+        "pairing_compat": [("second_block", (0, 0)), ("second_block", (1, 1))],
+    },
+    ("mat3_GF3_peirce", "derivation", "b_to_center_a"): {
+        "cross_zero": [("b_to_center_a_value", (0,))],
+        "m_compat": [("right_product", (0, 0)), ("right_product", (1, 0))],
+        "n_compat": [("left_product", (0, 0)), ("left_product", (0, 1))],
+        "pairing_compat": [("first_block", (0, 0))],
+    },
+    ("example_sec4", "lie", "on_a"): {
+        "m_compat": [("left_product", (0, 0)), ("left_product", (0, 1)), ("left_product", (0, 2))],
+        "n_compat": [
+            ("right_product", (0, 0)),
+            ("right_product", (1, 0)),
+            ("right_product", (2, 0)),
+        ],
+    },
+    ("example_sec4", "lie", "on_b"): {
+        "m_compat": [
+            ("right_product", (0, 0)),
+            ("right_product", (1, 0)),
+            ("right_product", (2, 0)),
+        ],
+        "n_compat": [("left_product", (0, 0)), ("left_product", (0, 1)), ("left_product", (0, 2))],
+    },
+    ("example_sec4", "lie", "on_m"): {
+        "m_compat": [("left_product", (1, 0)), ("right_product", (0, 1))],
+    },
+    ("example_sec4", "lie", "on_n"): {
+        "n_compat": [("right_product", (0, 1)), ("left_product", (1, 0))],
+    },
+    ("example_sec4", "lie", "shift_m"): {},
+    ("example_sec4", "lie", "a_to_center_b"): {
+        "m_compat": [("left_product", (0, 0)), ("left_product", (0, 1)), ("left_product", (0, 2))],
+        "n_compat": [
+            ("right_product", (0, 0)),
+            ("right_product", (1, 0)),
+            ("right_product", (2, 0)),
+        ],
+    },
+    ("example_sec4", "lie", "b_to_center_a"): {
+        "m_compat": [
+            ("right_product", (0, 0)),
+            ("right_product", (1, 0)),
+            ("right_product", (2, 0)),
+        ],
+        "n_compat": [("left_product", (0, 0)), ("left_product", (0, 1)), ("left_product", (0, 2))],
+    },
+    ("example_sec4", "derivation", "on_a"): {
+        "diagonal_derivation": [("product_rule_on_a", (0, 0))],
+        "m_compat": [("left_product", (0, 0)), ("left_product", (0, 1)), ("left_product", (0, 2))],
+        "n_compat": [
+            ("right_product", (0, 0)),
+            ("right_product", (1, 0)),
+            ("right_product", (2, 0)),
+        ],
+    },
+    ("example_sec4", "derivation", "on_b"): {
+        "diagonal_derivation": [("product_rule_on_b", (0, 0))],
+        "m_compat": [
+            ("right_product", (0, 0)),
+            ("right_product", (1, 0)),
+            ("right_product", (2, 0)),
+        ],
+        "n_compat": [("left_product", (0, 0)), ("left_product", (0, 1)), ("left_product", (0, 2))],
+    },
+    ("example_sec4", "derivation", "on_m"): {
+        "m_compat": [("left_product", (1, 0)), ("right_product", (0, 1))],
+    },
+    ("example_sec4", "derivation", "on_n"): {
+        "n_compat": [("right_product", (0, 1)), ("left_product", (1, 0))],
+    },
+    ("example_sec4", "derivation", "shift_m"): {},
+    ("example_sec4", "derivation", "a_to_center_b"): {
+        "cross_zero": [("a_to_center_b_value", (0,))],
+        "m_compat": [("left_product", (0, 0)), ("left_product", (0, 1)), ("left_product", (0, 2))],
+        "n_compat": [
+            ("right_product", (0, 0)),
+            ("right_product", (1, 0)),
+            ("right_product", (2, 0)),
+        ],
+    },
+    ("example_sec4", "derivation", "b_to_center_a"): {
+        "cross_zero": [("b_to_center_a_value", (0,))],
+        "m_compat": [
+            ("right_product", (0, 0)),
+            ("right_product", (1, 0)),
+            ("right_product", (2, 0)),
+        ],
+        "n_compat": [("left_product", (0, 0)), ("left_product", (0, 1)), ("left_product", (0, 2))],
+    },
+}
+
+
+def _bumped(f, parts, component):
+    value = getattr(parts, component)
+    if isinstance(value, tuple):
+        return replace(parts, **{component: (f.add(value[0], f.one),) + value[1:]})
+    rows = [list(r) for r in value.entries]
+    rows[0][0] = f.add(rows[0][0], f.one)
+    return replace(parts, **{component: Matrix(f, rows)})
+
+
+def _sum_of_basis(g, space):
+    total = EndoMap(Matrix.zeros(g.field, g.algebra.dim, g.algebra.dim))
+    for endo in space.basis_maps():
+        total = total + endo
+    return total
+
+
+@pytest.mark.parametrize("example", ["mat2_GF3_peirce", "mat3_GF3_peirce", "example_sec4"])
+def test_perturbed_presentation_reports_are_pinned(example):
+    g = load_example(example).assembled("G")
+    cases = (
+        ("lie", check_lie_parts, LIE_CONDITIONS, extract_lie, lie_derivation_space),
+        (
+            "derivation",
+            check_derivation_parts,
+            DERIVATION_CONDITIONS,
+            extract_derivation,
+            derivation_space,
+        ),
+    )
+    for kind, check, conditions, extract, space in cases:
+        base = extract(g, _sum_of_basis(g, space(g)))
+        for component in BUMPED:
+            report = check(g, _bumped(g.field, base, component))
+            pinned = PINNED_REPORTS[(example, kind, component)]
+            got = [(k, [(v.law, v.where) for v in vs]) for k, vs in report.violations.items()]
+            assert got == [(k, pinned.get(k, [])) for k in conditions], (kind, component)
+
+
+def test_derivation_check_flags_nonzero_cross_maps():
+    g, endo = _sec4()
+    report = check_derivation_parts(g, extract_lie(g, endo))
+    assert report.kind == "derivation"
+    assert report.failed[0] == "cross_zero"
+    assert report.violations["cross_zero"] == (
+        Violation("a_to_center_b_value", (1,)),
+        Violation("b_to_center_a_value", (1,)),
+    )
+    assert check_lie_parts(g, extract_lie(g, endo)).ok
+    with pytest.raises(PreconditionError, match="not a derivation"):
+        extract_derivation(g, endo)
