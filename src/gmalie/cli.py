@@ -444,6 +444,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for name in ("budget", "ldp_dim_cap"):
+            value = getattr(args, name, 0)
+            if value < 0:
+                flag = "--" + name.replace("_", "-")
+                raise PreconditionError(f"{flag} must be non-negative, got {value}")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

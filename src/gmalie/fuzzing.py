@@ -176,8 +176,10 @@ def generate_contexts(config: FuzzConfig):
         raise CharacteristicTwoError(
             "fuzzing over characteristic two is rejected by the torsion gate"
         )
-    if config.count < 0:
-        raise PreconditionError(f"context count must be non-negative, got {config.count}")
+    for name in ("count", "budget", "ldp_dim_cap"):
+        value = getattr(config, name)
+        if value < 0:
+            raise PreconditionError(f"{name} must be non-negative, got {value}")
     rng = random.Random(config.seed)
     base = [
         (label, dims, builder)

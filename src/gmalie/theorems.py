@@ -1,11 +1,12 @@
 """Mechanical hypothesis checkers for the sufficient-condition theorems.
 
-Each named hypothesis maps to exactly one structural operation; a verdict is
-the stated boolean combination, Kleene-evaluated so an Unknown hypothesis in
-a required position can never produce Holds.  Whenever a checker concludes
-Holds, the brute-force oracle is consulted and its agreement recorded: the
-theorems are one-directional, so disagreement would mean a bug (or a broken
-theorem) and is surfaced by the callers as a fatal condition.
+Each named hypothesis maps to exactly one structural operation
+(``_EVALUATORS``); a verdict is the check's formula over those names
+(``_CHECKS``), Kleene-evaluated so an Unknown hypothesis in a required
+position can never produce Holds.  Whenever a check concludes Holds, the
+brute-force oracle is consulted and its agreement recorded: the theorems
+are one-directional, so disagreement would mean a bug (or a broken theorem)
+and is surfaced by the callers as a fatal condition.
 
 Hypothesis name conventions: ``proj_center_a`` means the center of the
 assembled algebra projects onto the full center of the first diagonal
@@ -17,13 +18,9 @@ every Lie derivation is proper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .algebra import (
-    DEFAULT_BUDGET,
-    central_ideal_free,
-    commutator_idempotent_subalgebra,
-    domain_scan,
-)
+from .algebra import DEFAULT_BUDGET, central_ideal_free, commutator_idempotent_subalgebra, domain_scan
 from .errors import CharacteristicTwoError, PreconditionError
 from .gma import GMAlgebra, center_analysis, is_trivial
 from .morita import left_action_kernel, right_action_kernel, strongly_faithful
@@ -34,14 +31,8 @@ from .tristate import TriState, tri_all, tri_any
 DEFAULT_LDP_DIM_CAP = 6
 
 __all__ = [
-    "TheoremVerdict",
-    "check_central_ideal",
-    "check_domains",
-    "check_strong_faithfulness",
-    "check_combined",
-    "check_trivial",
-    "all_theorem_checks",
-    "DEFAULT_LDP_DIM_CAP",
+    "TheoremVerdict", "check_central_ideal", "check_domains", "check_strong_faithfulness",
+    "check_combined", "check_trivial", "all_theorem_checks", "DEFAULT_LDP_DIM_CAP",
 ]
 
 
@@ -79,139 +70,150 @@ def _gate(g: GMAlgebra):
         )
 
 
-def _finish(g, check_id, hypotheses, overall, extras=()):
-    agrees = None
-    if overall is TriState.HOLDS:
-        agrees = has_lie_derivation_property(g)
-    return TheoremVerdict(
-        check_id=check_id,
-        hypotheses=tuple(hypotheses),
-        overall=overall,
-        oracle_agrees=agrees,
-        extras=tuple(extras),
-    )
+def _ldp_tristate(algebra, dim_cap: int) -> TriState:
+    if algebra.field.characteristic == 2 or algebra.dim > dim_cap:
+        return TriState.UNKNOWN
+    return TriState.from_bool(has_lie_derivation_property(algebra))
 
 
-def _faithful_states(g):
-    left = TriState.from_bool(left_action_kernel(g.context.m).dim == 0)
-    right = TriState.from_bool(right_action_kernel(g.context.m).dim == 0)
-    return left, right
+def _necessity_on_basis(facts) -> TriState:
+    """The necessary direction, on every basis Lie derivation of the
+    assembled algebra: a proper one must have both cross-map ranges inside
+    the projected centers."""
+    g, an = facts.g, facts.center
+    da, db = g.block_dims[0], g.block_dims[3]
+    for endo in lie_derivation_space(g).basis_maps():
+        if not is_proper(g, endo).proper:
+            continue
+        parts = extract_lie(g, endo)
+        range_a = all(
+            an.proj_b.contains_vector(parts.a_to_center_b.column(i)) for i in range(da)
+        )
+        range_b = all(
+            an.proj_a.contains_vector(parts.b_to_center_a.column(j)) for j in range(db)
+        )
+        if not (range_a and range_b):
+            return TriState.FAILS
+    return TriState.HOLDS
+
+
+# Fact name -> evaluator of one context's ``_Facts``.  Every entry is a
+# hypothesis except ``necessity_on_basis``, the trivial check's side scan.
+_EVALUATORS = {
+    "m_left_faithful": lambda c: TriState.from_bool(left_action_kernel(c.ctx.m).dim == 0),
+    "m_right_faithful": lambda c: TriState.from_bool(right_action_kernel(c.ctx.m).dim == 0),
+    "proj_center_a": lambda c: TriState.from_bool(c.center.proj_a_is_center_a),
+    "proj_center_b": lambda c: TriState.from_bool(c.center.proj_b_is_center_b),
+    "central_ideal_free_a": lambda c: TriState.from_bool(central_ideal_free(c.ctx.a)),
+    "central_ideal_free_b": lambda c: TriState.from_bool(central_ideal_free(c.ctx.b)),
+    "domain_a": lambda c: domain_scan(c.ctx.a, c.budget),
+    "domain_b": lambda c: domain_scan(c.ctx.b, c.budget),
+    "strongly_faithful_m": lambda c: strongly_faithful(c.ctx.m, c.budget),
+    "strongly_faithful_n": lambda c: strongly_faithful(c.ctx.n, c.budget),
+    "ci_generates_a": lambda c: commutator_idempotent_subalgebra(c.ctx.a, c.budget).spans(c.ctx.a),
+    "ci_generates_b": lambda c: commutator_idempotent_subalgebra(c.ctx.b, c.budget).spans(c.ctx.b),
+    "ldp_a": lambda c: _ldp_tristate(c.ctx.a, c.ldp_dim_cap),
+    "ldp_b": lambda c: _ldp_tristate(c.ctx.b, c.ldp_dim_cap),
+    "necessity_on_basis": _necessity_on_basis,
+}
+
+# A formula is a fact name or ("all" | "any", formula, ...).
+_FAITHFUL = ("m_left_faithful", "m_right_faithful")
+_PROJ = ("proj_center_a", "proj_center_b")
+_CIF = ("central_ideal_free_a", "central_ideal_free_b")
+_DOMAIN = ("domain_a", "domain_b")
+_SF = ("strongly_faithful_m", "strongly_faithful_n")
+_DIAGONAL = _PROJ + _FAITHFUL + ("ci_generates_a", "ci_generates_b", "ldp_a", "ldp_b")
+_CLAUSE_ONE = ("any", ("all", "proj_center_b", "m_left_faithful"),
+               ("all", "ci_generates_a", "m_left_faithful"), ("all", "ldp_a", "ci_generates_a"))
+_CLAUSE_TWO = ("any", ("all", "proj_center_a", "m_right_faithful"),
+               ("all", "ci_generates_b", "m_right_faithful"), ("all", "ldp_b", "ci_generates_b"))
+_CLAUSE_THREE = ("any", ("any", *_CIF), ("all", *_DOMAIN), ("any", *_SF))
+_DIAGONAL_CLAUSES = (("clause_one", _CLAUSE_ONE), ("clause_two", _CLAUSE_TWO))
+
+# Check id -> (hypotheses in report order, overall formula, named extra
+# formulas), in the order ``all_theorem_checks`` reports them.
+_CHECKS = {
+    "central_ideal": (_FAITHFUL + _PROJ + _CIF, ("all", *_FAITHFUL, *_PROJ, ("any", *_CIF)), ()),
+    "domains": (_FAITHFUL + _PROJ + _DOMAIN, ("all", *_FAITHFUL, *_PROJ, *_DOMAIN), ()),
+    "strong_faithfulness": (
+        _PROJ + ("strongly_faithful_m",), ("all", *_PROJ, "strongly_faithful_m"), ()
+    ),
+    "combined": (
+        _DIAGONAL + _CIF + _DOMAIN + _SF,
+        ("all", _CLAUSE_ONE, _CLAUSE_TWO, _CLAUSE_THREE),
+        _DIAGONAL_CLAUSES + (("clause_three", _CLAUSE_THREE),),
+    ),
+    "trivial": (
+        _DIAGONAL,
+        ("all", _CLAUSE_ONE, _CLAUSE_TWO),
+        _DIAGONAL_CLAUSES + (("necessity_on_basis", "necessity_on_basis"),),
+    ),
+}
+
+
+class _Facts:
+    """One context's facts, each evaluated at most once and only on demand."""
+
+    def __init__(self, g: GMAlgebra, budget: int, ldp_dim_cap: int):
+        self.g, self.ctx, self.budget, self.ldp_dim_cap = g, g.context, budget, ldp_dim_cap
+        self._states = {}
+
+    @cached_property
+    def center(self):
+        return center_analysis(self.g)
+
+    @cached_property
+    def oracle(self) -> bool:
+        return has_lie_derivation_property(self.g)
+
+    def formula(self, tree) -> TriState:
+        if not isinstance(tree, str):
+            op, *terms = tree
+            return (tri_all if op == "all" else tri_any)([self.formula(t) for t in terms])
+        if tree not in self._states:
+            self._states[tree] = _EVALUATORS[tree](self)
+        return self._states[tree]
+
+    def verdict(self, check_id: str) -> TheoremVerdict:
+        names, overall, extras = _CHECKS[check_id]
+        hypotheses = tuple((name, self.formula(name)) for name in names)
+        result = self.formula(overall)
+        return TheoremVerdict(
+            check_id=check_id,
+            hypotheses=hypotheses,
+            overall=result,
+            oracle_agrees=self.oracle if result is TriState.HOLDS else None,
+            extras=tuple((name, self.formula(tree)) for name, tree in extras),
+        )
+
+
+def _verdicts(g: GMAlgebra, budget: int, ldp_dim_cap: int, check_ids) -> tuple:
+    _gate(g)
+    if "trivial" in check_ids and not is_trivial(g.context):
+        raise PreconditionError("check_trivial requires a zero-pairing context")
+    for name, value in (("budget", budget), ("ldp_dim_cap", ldp_dim_cap)):
+        if value < 0:
+            raise PreconditionError(f"{name} must be non-negative, got {value}")
+    facts = _Facts(g, budget, ldp_dim_cap)
+    return tuple(facts.verdict(check_id) for check_id in check_ids)
 
 
 def check_central_ideal(g: GMAlgebra, budget: int = DEFAULT_BUDGET) -> TheoremVerdict:
     """Faithful module, both center projections full, and one diagonal block
     free of nonzero central ideals."""
-    _gate(g)
-    an = center_analysis(g)
-    left, right = _faithful_states(g)
-    hyps = [
-        ("m_left_faithful", left),
-        ("m_right_faithful", right),
-        ("proj_center_a", TriState.from_bool(an.proj_a_is_center_a)),
-        ("proj_center_b", TriState.from_bool(an.proj_b_is_center_b)),
-        ("central_ideal_free_a", TriState.from_bool(central_ideal_free(g.context.a))),
-        ("central_ideal_free_b", TriState.from_bool(central_ideal_free(g.context.b))),
-    ]
-    h = dict(hyps)
-    overall = tri_all(
-        (
-            h["m_left_faithful"],
-            h["m_right_faithful"],
-            h["proj_center_a"],
-            h["proj_center_b"],
-            tri_any((h["central_ideal_free_a"], h["central_ideal_free_b"])),
-        )
-    )
-    return _finish(g, "central_ideal", hyps, overall)
+    return _verdicts(g, budget, DEFAULT_LDP_DIM_CAP, ("central_ideal",))[0]
 
 
 def check_domains(g: GMAlgebra, budget: int = DEFAULT_BUDGET) -> TheoremVerdict:
     """Faithful module, both center projections full, and both diagonal
     blocks free of zero divisors."""
-    _gate(g)
-    an = center_analysis(g)
-    left, right = _faithful_states(g)
-    hyps = [
-        ("m_left_faithful", left),
-        ("m_right_faithful", right),
-        ("proj_center_a", TriState.from_bool(an.proj_a_is_center_a)),
-        ("proj_center_b", TriState.from_bool(an.proj_b_is_center_b)),
-        ("domain_a", domain_scan(g.context.a, budget)),
-        ("domain_b", domain_scan(g.context.b, budget)),
-    ]
-    h = dict(hyps)
-    overall = tri_all(
-        (
-            h["m_left_faithful"],
-            h["m_right_faithful"],
-            h["proj_center_a"],
-            h["proj_center_b"],
-            h["domain_a"],
-            h["domain_b"],
-        )
-    )
-    return _finish(g, "domains", hyps, overall)
+    return _verdicts(g, budget, DEFAULT_LDP_DIM_CAP, ("domains",))[0]
 
 
 def check_strong_faithfulness(g: GMAlgebra, budget: int = DEFAULT_BUDGET) -> TheoremVerdict:
     """Both center projections full and the upper module strongly faithful."""
-    _gate(g)
-    an = center_analysis(g)
-    hyps = [
-        ("proj_center_a", TriState.from_bool(an.proj_a_is_center_a)),
-        ("proj_center_b", TriState.from_bool(an.proj_b_is_center_b)),
-        ("strongly_faithful_m", strongly_faithful(g.context.m, budget)),
-    ]
-    h = dict(hyps)
-    overall = tri_all(
-        (h["proj_center_a"], h["proj_center_b"], h["strongly_faithful_m"])
-    )
-    return _finish(g, "strong_faithfulness", hyps, overall)
-
-
-def _ldp_tristate(algebra, dim_cap: int) -> TriState:
-    if algebra.field.characteristic == 2:
-        return TriState.UNKNOWN
-    if algebra.dim > dim_cap:
-        return TriState.UNKNOWN
-    return TriState.from_bool(has_lie_derivation_property(algebra))
-
-
-def _diagonal_clauses(g, budget, dim_cap):
-    """The two three-alternative clauses shared by the combined check and
-    the trivial-context check."""
-    an = center_analysis(g)
-    left, right = _faithful_states(g)
-    ci_a = commutator_idempotent_subalgebra(g.context.a, budget).spans(g.context.a)
-    ci_b = commutator_idempotent_subalgebra(g.context.b, budget).spans(g.context.b)
-    ldp_a = _ldp_tristate(g.context.a, dim_cap)
-    ldp_b = _ldp_tristate(g.context.b, dim_cap)
-    hyps = [
-        ("proj_center_a", TriState.from_bool(an.proj_a_is_center_a)),
-        ("proj_center_b", TriState.from_bool(an.proj_b_is_center_b)),
-        ("m_left_faithful", left),
-        ("m_right_faithful", right),
-        ("ci_generates_a", ci_a),
-        ("ci_generates_b", ci_b),
-        ("ldp_a", ldp_a),
-        ("ldp_b", ldp_b),
-    ]
-    h = dict(hyps)
-    clause_one = tri_any(
-        (
-            tri_all((h["proj_center_b"], h["m_left_faithful"])),
-            tri_all((h["ci_generates_a"], h["m_left_faithful"])),
-            tri_all((h["ldp_a"], h["ci_generates_a"])),
-        )
-    )
-    clause_two = tri_any(
-        (
-            tri_all((h["proj_center_a"], h["m_right_faithful"])),
-            tri_all((h["ci_generates_b"], h["m_right_faithful"])),
-            tri_all((h["ldp_b"], h["ci_generates_b"])),
-        )
-    )
-    return hyps, clause_one, clause_two
+    return _verdicts(g, budget, DEFAULT_LDP_DIM_CAP, ("strong_faithfulness",))[0]
 
 
 def check_combined(
@@ -221,32 +223,7 @@ def check_combined(
 ) -> TheoremVerdict:
     """The three-clause combination: both diagonal clauses plus one of the
     central-ideal, domain, or strong-faithfulness alternatives."""
-    _gate(g)
-    hyps, clause_one, clause_two = _diagonal_clauses(g, budget, ldp_dim_cap)
-    hyps = list(hyps)
-    hyps += [
-        ("central_ideal_free_a", TriState.from_bool(central_ideal_free(g.context.a))),
-        ("central_ideal_free_b", TriState.from_bool(central_ideal_free(g.context.b))),
-        ("domain_a", domain_scan(g.context.a, budget)),
-        ("domain_b", domain_scan(g.context.b, budget)),
-        ("strongly_faithful_m", strongly_faithful(g.context.m, budget)),
-        ("strongly_faithful_n", strongly_faithful(g.context.n, budget)),
-    ]
-    h = dict(hyps)
-    clause_three = tri_any(
-        (
-            tri_any((h["central_ideal_free_a"], h["central_ideal_free_b"])),
-            tri_all((h["domain_a"], h["domain_b"])),
-            tri_any((h["strongly_faithful_m"], h["strongly_faithful_n"])),
-        )
-    )
-    overall = tri_all((clause_one, clause_two, clause_three))
-    extras = (
-        ("clause_one", clause_one),
-        ("clause_two", clause_two),
-        ("clause_three", clause_three),
-    )
-    return _finish(g, "combined", hyps, overall, extras)
+    return _verdicts(g, budget, ldp_dim_cap, ("combined",))[0]
 
 
 def check_trivial(
@@ -255,39 +232,8 @@ def check_trivial(
     ldp_dim_cap: int = DEFAULT_LDP_DIM_CAP,
 ) -> TheoremVerdict:
     """For zero-pairing contexts only: the two diagonal clauses suffice.
-
-    Additionally verifies the necessary direction on every basis Lie
-    derivation of the assembled algebra: a proper one must have both
-    cross-map ranges inside the projected centers.
-    """
-    _gate(g)
-    if not is_trivial(g.context):
-        raise PreconditionError("check_trivial requires a zero-pairing context")
-    hyps, clause_one, clause_two = _diagonal_clauses(g, budget, ldp_dim_cap)
-    overall = tri_all((clause_one, clause_two))
-
-    an = center_analysis(g)
-    necessity_ok = True
-    for endo in lie_derivation_space(g).basis_maps():
-        if not is_proper(g, endo).proper:
-            continue
-        parts = extract_lie(g, endo)
-        da, db = g.block_dims[0], g.block_dims[3]
-        range_a = all(
-            an.proj_b.contains_vector(parts.a_to_center_b.column(i)) for i in range(da)
-        )
-        range_b = all(
-            an.proj_a.contains_vector(parts.b_to_center_a.column(j)) for j in range(db)
-        )
-        if not (range_a and range_b):
-            necessity_ok = False
-            break
-    extras = (
-        ("clause_one", clause_one),
-        ("clause_two", clause_two),
-        ("necessity_on_basis", TriState.from_bool(necessity_ok)),
-    )
-    return _finish(g, "trivial", hyps, overall, extras)
+    The extra ``necessity_on_basis`` checks the necessary direction."""
+    return _verdicts(g, budget, ldp_dim_cap, ("trivial",))[0]
 
 
 def all_theorem_checks(
@@ -295,13 +241,8 @@ def all_theorem_checks(
     budget: int = DEFAULT_BUDGET,
     ldp_dim_cap: int = DEFAULT_LDP_DIM_CAP,
 ) -> tuple:
-    """Every applicable checker, in a fixed order."""
-    checks = [
-        check_central_ideal(g, budget),
-        check_domains(g, budget),
-        check_strong_faithfulness(g, budget),
-        check_combined(g, budget, ldp_dim_cap),
-    ]
+    """Every applicable checker, in a fixed order, over one context's facts."""
+    check_ids = [check_id for check_id in _CHECKS if check_id != "trivial"]
     if is_trivial(g.context):
-        checks.append(check_trivial(g, budget, ldp_dim_cap))
-    return tuple(checks)
+        check_ids.append("trivial")
+    return _verdicts(g, budget, ldp_dim_cap, check_ids)

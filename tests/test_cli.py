@@ -147,3 +147,33 @@ def test_fuzz_out_of_range_bounds_exit_two(capsys, argv):
     assert out == ""
     assert err.startswith("precondition failure: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theorems", "--input", "tri2_Q", "--ldp-dim-cap", "-1"),
+        ("theorems", "--input", "tri2_Q", "--budget", "-5"),
+        ("analyze", "--input", "tri2_Q", "--budget", "-5"),
+        ("validate", "--input", "tri2_Q", "--budget", "-1"),
+        ("proper", "--input", "example_sec4", "--map", "L_paper", "--budget", "-1"),
+        ("fuzz", "--count", "3", "--budget", "-1"),
+    ],
+    ids=["theorems-cap", "theorems-budget", "analyze-budget", "validate-budget",
+         "proper-budget", "fuzz-budget"],
+)
+def test_negative_budget_and_cap_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition failure: --")
+    assert "must be non-negative" in err
+
+
+def test_zero_budget_and_cap_are_accepted(capsys):
+    code, out, _ = run(
+        capsys, "theorems", "--input", "tri2_Q", "--budget", "0", "--ldp-dim-cap", "0",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["verdicts"][3]["hypotheses"]["ldp_a"] == "unknown"

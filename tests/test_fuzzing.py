@@ -76,3 +76,9 @@ def test_negative_count_is_refused():
     with pytest.raises(PreconditionError, match="non-negative"):
         generate_contexts(FuzzConfig(seed=1, count=-1))
     assert generate_contexts(FuzzConfig(seed=1, count=0)) == []
+
+
+@pytest.mark.parametrize("setting", ["budget", "ldp_dim_cap"])
+def test_negative_budget_and_cap_are_refused(setting):
+    with pytest.raises(PreconditionError, match=f"{setting} must be non-negative"):
+        generate_contexts(FuzzConfig(seed=1, count=3, **{setting: -1}))

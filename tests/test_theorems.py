@@ -1,8 +1,11 @@
 import pytest
 
+from gmalie.algebra import FDAlgebra
 from gmalie.catalog import load_example
 from gmalie.constructions import (
     field_algebra,
+    left_regular_bimodule,
+    triangular_context,
     trivial_context,
     zero_bimodule,
 )
@@ -60,16 +63,20 @@ def test_strong_faithfulness_check():
     assert v.overall is TriState.FAILS
 
 
+def _sqrt2_triangular():
+    """Triangular context over Q(sqrt 2), Q: the scans over the rationals
+    cannot finish, so domain_a and ci_generates_a stay unknown."""
+    tensor = [[[1, 0], [0, 1]], [[0, 1], [2, 0]]]
+    ext = FDAlgebra(QQ, 2, tensor, (1, 0))
+    return assemble(
+        triangular_context(ext, left_regular_bimodule(ext, field_algebra(QQ)), field_algebra(QQ))
+    )
+
+
 def test_unknown_hypotheses_propagate():
     # a quadratic extension over the rationals: domains stay unknown, so the
     # domain check cannot conclude
-    from gmalie.algebra import FDAlgebra
-    from gmalie.constructions import left_regular_bimodule, triangular_context
-
-    tensor = [[[1, 0], [0, 1]], [[0, 1], [2, 0]]]
-    ext = FDAlgebra(QQ, 2, tensor, (1, 0))
-    ctx = triangular_context(ext, left_regular_bimodule(ext, field_algebra(QQ)), field_algebra(QQ))
-    v = check_domains(assemble(ctx))
+    v = check_domains(_sqrt2_triangular())
     assert v.hypothesis("domain_a") is TriState.UNKNOWN
     assert v.overall is not TriState.HOLDS
     assert v.oracle_agrees is None
@@ -159,3 +166,174 @@ def test_checks_reject_plain_direct_sums():
     g = assemble(ctx)
     with pytest.raises(PreconditionError):
         check_combined(g)
+
+
+# Hypothesis names in report order, then extra names, for every check.
+_PINNED_NAMES = {
+    "central_ideal": (
+        "m_left_faithful m_right_faithful proj_center_a proj_center_b "
+        "central_ideal_free_a central_ideal_free_b",
+        "",
+    ),
+    "domains": (
+        "m_left_faithful m_right_faithful proj_center_a proj_center_b domain_a domain_b",
+        "",
+    ),
+    "strong_faithfulness": ("proj_center_a proj_center_b strongly_faithful_m", ""),
+    "combined": (
+        "proj_center_a proj_center_b m_left_faithful m_right_faithful "
+        "ci_generates_a ci_generates_b ldp_a ldp_b central_ideal_free_a "
+        "central_ideal_free_b domain_a domain_b strongly_faithful_m strongly_faithful_n",
+        "clause_one clause_two clause_three",
+    ),
+    "trivial": (
+        "proj_center_a proj_center_b m_left_faithful m_right_faithful "
+        "ci_generates_a ci_generates_b ldp_a ldp_b",
+        "clause_one clause_two necessity_on_basis",
+    ),
+}
+
+# "check: overall oracle_agrees hypotheses [extras]", one letter per state
+# (H holds, F fails, U unknown) in the order of _PINNED_NAMES.
+_PINNED = {
+    "example_sec4": (
+        "central_ideal: F None HHFFFF",
+        "domains: F None HHFFFF",
+        "strong_faithfulness: F None FFF",
+        "combined: F None FFHHFFHHFFFFFF FFF",
+        "trivial: F None FFHHFFHH FFH",
+    ),
+    "tri2_Q": (
+        "central_ideal: F None HHHHFF",
+        "domains: H True HHHHHH",
+        "strong_faithfulness: H True HHH",
+        "combined: H True HHHHHHHHFFHHHF HHH",
+        "trivial: H True HHHHHHHH HHH",
+    ),
+    "tri2_GF5": (
+        "central_ideal: F None HHHHFF",
+        "domains: H True HHHHHH",
+        "strong_faithfulness: H True HHH",
+        "combined: H True HHHHHHHHFFHHHF HHH",
+        "trivial: H True HHHHHHHH HHH",
+    ),
+    "mat2_GF3_peirce": (
+        "central_ideal: F None HHHHFF",
+        "domains: H True HHHHHH",
+        "strong_faithfulness: H True HHH",
+        "combined: H True HHHHHHHHFFHHHH HHH",
+    ),
+    "mat3_GF3_peirce": (
+        "central_ideal: H True HHHHFH",
+        "domains: F None HHHHHF",
+        "strong_faithfulness: H True HHH",
+        "combined: H True HHHHHHHHFHHFHH HHH",
+    ),
+    "trivial_QQQ": (
+        "central_ideal: F None HHHHFF",
+        "domains: H True HHHHHH",
+        "strong_faithfulness: H True HHH",
+        "combined: H True HHHHHHHHFFHHHH HHH",
+        "trivial: H True HHHHHHHH HHH",
+    ),
+    "tri2_Q-ldp_dim_cap=0": (
+        "central_ideal: F None HHHHFF",
+        "domains: H True HHHHHH",
+        "strong_faithfulness: H True HHH",
+        "combined: H True HHHHHHUUFFHHHF HHH",
+        "trivial: H True HHHHHHUU HHH",
+    ),
+    "mat2_GF3_peirce-budget=0": (
+        "central_ideal: F None HHHHFF",
+        "domains: H True HHHHHH",
+        "strong_faithfulness: H True HHH",
+        "combined: H True HHHHHHHHFFHHHH HHH",
+    ),
+    "sqrt2_QQ": (
+        "central_ideal: F None HHFHFF",
+        "domains: F None HHFHUH",
+        "strong_faithfulness: F None FHH",
+        "combined: H True FHHHUHHHFFUHHF HHH",
+        "trivial: H True FHHHUHHH HHH",
+    ),
+}
+
+_LETTER = {TriState.HOLDS: "H", TriState.FAILS: "F", TriState.UNKNOWN: "U"}
+
+
+def _pinned_context(case):
+    if case == "sqrt2_QQ":
+        return _sqrt2_triangular(), {}
+    name, _, setting = case.partition("-")
+    kwargs = {}
+    if setting:
+        key, value = setting.split("=")
+        kwargs[key] = int(value)
+    return _g(name), kwargs
+
+
+@pytest.mark.parametrize("case", list(_PINNED))
+def test_verdicts_are_pinned(case):
+    g, kwargs = _pinned_context(case)
+    got = []
+    for v in all_theorem_checks(g, **kwargs):
+        hyp_names, extra_names = _PINNED_NAMES[v.check_id]
+        assert " ".join(k for k, _ in v.hypotheses) == hyp_names
+        assert " ".join(k for k, _ in v.extras) == extra_names
+        line = f"{v.check_id}: {_LETTER[v.overall]} {v.oracle_agrees} "
+        line += "".join(_LETTER[s] for _, s in v.hypotheses)
+        if v.extras:
+            line += " " + "".join(_LETTER[s] for _, s in v.extras)
+        got.append(line)
+    assert tuple(got) == _PINNED[case]
+
+
+_COUNTED = (
+    "center_analysis",
+    "left_action_kernel",
+    "right_action_kernel",
+    "strongly_faithful",
+    "central_ideal_free",
+    "domain_scan",
+    "commutator_idempotent_subalgebra",
+    "has_lie_derivation_property",
+)
+
+
+@pytest.mark.parametrize("name", ["tri2_Q", "mat3_GF3_peirce"])
+def test_each_fact_is_evaluated_once_per_context(name, monkeypatch):
+    import gmalie.theorems as theorems
+
+    calls = {}
+
+    def counting(fn_name, fn):
+        def wrapper(*args):
+            key = (fn_name,) + tuple(map(id, args))
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    for fn_name in _COUNTED:
+        monkeypatch.setattr(theorems, fn_name, counting(fn_name, getattr(theorems, fn_name)))
+    g = _g(name)
+    verdicts = all_theorem_checks(g)
+    assert max(calls.values()) == 1, {k[0]: n for k, n in calls.items() if n > 1}
+    called = {key[0] for key in calls}
+    assert called == set(_COUNTED)
+    # one oracle call on the assembled algebra, shared by every holding check
+    assert calls[("has_lie_derivation_property", id(g))] == 1
+    assert sum(v.oracle_agrees is True for v in verdicts) >= 2
+
+
+def test_negative_budget_and_cap_are_refused():
+    g = _g("tri2_Q")
+    calls = (
+        lambda: all_theorem_checks(g, -1),
+        lambda: all_theorem_checks(g, ldp_dim_cap=-1),
+        lambda: check_domains(g, -5),
+        lambda: check_trivial(g, ldp_dim_cap=-1),
+    )
+    for call in calls:
+        with pytest.raises(PreconditionError, match="must be non-negative"):
+            call()
