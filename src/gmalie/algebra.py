@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache, wraps
 
 from .errors import DimensionMismatch, ValidationFailure, Violation
 from .fields import Field
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, kernel, rref
 from .tristate import TriState
 
 DEFAULT_BUDGET = 10**6
@@ -117,21 +118,7 @@ class FDAlgebra:
     def multiply(self, x, y) -> tuple:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element coordinate length mismatch")
-        f = self.field
-        z = f.zero
-        acc = [z] * self.dim
-        for i, xi in enumerate(x):
-            if xi == z:
-                continue
-            plane = self.structure[i]
-            for j, yj in enumerate(y):
-                if yj == z:
-                    continue
-                c = f.mul(xi, yj)
-                for k, s in enumerate(plane[j]):
-                    if s != z:
-                        acc[k] = f.add(acc[k], f.mul(c, s))
-        return tuple(acc)
+        return _bilinear(self.field, self.structure, x, y, self.dim)
 
     def bracket(self, x, y) -> tuple:
         sub = self.field.sub
@@ -158,6 +145,25 @@ class FDAlgebra:
         )
 
 
+def _bilinear(f, tensor, x, y, out_dim) -> tuple:
+    """sum_{i,j} x_i y_j tensor[i][j], the product that a rank-3 structure or
+    action tensor defines."""
+    z = f.zero
+    acc = [z] * out_dim
+    for i, xi in enumerate(x):
+        if xi == z:
+            continue
+        plane = tensor[i]
+        for j, yj in enumerate(y):
+            if yj == z:
+                continue
+            c = f.mul(xi, yj)
+            for k, s in enumerate(plane[j]):
+                if s != z:
+                    acc[k] = f.add(acc[k], f.mul(c, s))
+    return tuple(acc)
+
+
 def structure_violations(field, dim, structure, unit, cap=8):
     """Unit-law and associativity violations of a structure tensor.
 
@@ -167,26 +173,11 @@ def structure_violations(field, dim, structure, unit, cap=8):
     z = f.zero
     bad = []
 
-    def times(x, y):
-        acc = [z] * dim
-        for i, xi in enumerate(x):
-            if xi == z:
-                continue
-            plane = structure[i]
-            for j, yj in enumerate(y):
-                if yj == z:
-                    continue
-                c = f.mul(xi, yj)
-                for k, s in enumerate(plane[j]):
-                    if s != z:
-                        acc[k] = f.add(acc[k], f.mul(c, s))
-        return tuple(acc)
-
     basis = [tuple(f.one if j == i else z for j in range(dim)) for i in range(dim)]
     for i, e in enumerate(basis):
-        if times(unit, e) != e:
+        if _bilinear(f, structure, unit, e, dim) != e:
             bad.append(Violation("left_unit", (i,)))
-        if times(e, unit) != e:
+        if _bilinear(f, structure, e, unit, dim) != e:
             bad.append(Violation("right_unit", (i,)))
         if len(bad) >= cap:
             return bad
@@ -194,8 +185,8 @@ def structure_violations(field, dim, structure, unit, cap=8):
         for j in range(dim):
             ij = structure[i][j]
             for k in range(dim):
-                left = times(ij, basis[k])
-                right = times(basis[i], structure[j][k])
+                left = _bilinear(f, structure, ij, basis[k], dim)
+                right = _bilinear(f, structure, basis[i], structure[j][k], dim)
                 if left != right:
                     bad.append(Violation("associativity", (i, j, k)))
                     if len(bad) >= cap:
@@ -206,19 +197,63 @@ def structure_violations(field, dim, structure, unit, cap=8):
 # -- structural analyses ----------------------------------------------------
 
 
-def commutation_operator(a: FDAlgebra) -> Matrix:
-    """Stacked matrix of x -> ([e_0, x], ..., [e_{d-1}, x]); kernel = center."""
-    blocks = [
-        a.left_mult(a.basis_vector(i)) - a.right_mult(a.basis_vector(i))
+@lru_cache(maxsize=256)
+def _facts(a: FDAlgebra) -> dict:
+    """The derived facts computed so far for one algebra value, by builder."""
+    return {}
+
+
+def _memo(build):
+    """Run ``build(a)`` once per algebra value.
+
+    Equal algebras built separately share one entry, and every caller gets
+    the same result object, so builders must return immutable values.
+    """
+
+    @wraps(build)
+    def cached(a: FDAlgebra):
+        facts = _facts(a)
+        if build not in facts:
+            facts[build] = build(a)
+        return facts[build]
+
+    return cached
+
+
+@_memo
+def _bracket_tensor(a: FDAlgebra):
+    """Structure tensor of the bracket: [e_i, e_j] = sum_k t[i][j][k] e_k.
+    Zero entries share one zero scalar, which keeps the memoized tensor small."""
+    st = a.structure
+    sub, z = a.field.sub, a.field.zero
+    return tuple(
+        tuple(
+            tuple(sub(x, y) if x != y else z for x, y in zip(st[i][j], st[j][i]))
+            for j in range(a.dim)
+        )
         for i in range(a.dim)
-    ]
-    return Matrix.vstack(a.field, blocks, cols=a.dim)
+    )
 
 
+@_memo
+def commutation_operator(a: FDAlgebra) -> Matrix:
+    """Stacked matrix of x -> ([e_0, x], ..., [e_{d-1}, x]); kernel = center.
+
+    Row i*d + k, column m holds the e_k coefficient of [e_i, e_m], so the
+    matrix shares its scalars with the bracket tensor.
+    """
+    bracket = _bracket_tensor(a)
+    d = a.dim
+    rows = [[bracket[i][m][k] for m in range(d)] for i in range(d) for k in range(d)]
+    return Matrix(a.field, rows, cols=d)
+
+
+@_memo
 def center(a: FDAlgebra) -> Subspace:
     return kernel(commutation_operator(a))
 
 
+@_memo
 def commutator_span(a: FDAlgebra) -> Subspace:
     vectors = [
         a.bracket(a.basis_vector(i), a.basis_vector(j))
@@ -250,34 +285,46 @@ def _all_elements(a: FDAlgebra):
     return itertools.product(range(p), repeat=a.dim)
 
 
-def domain_scan(a: FDAlgebra, budget: int = DEFAULT_BUDGET) -> TriState:
-    """Decide absence of zero divisors.
+def _no_annihilating_pair(acting: FDAlgebra, module_dim: int, act, budget) -> TriState:
+    """Does x.p = 0 force x = 0 or p = 0, for x in ``acting`` acting through
+    ``act(x, p)`` on a module of dimension ``module_dim``?
 
-    Exact over GF(p) when p^dim fits the enumeration budget (a is a zero
-    divisor iff its left-multiplication operator is singular).  Over the
-    rationals, or beyond budget, only a basis-pair witness scan runs, so the
-    positive answer degrades to Unknown.  One-dimensional unital algebras
-    are fields and therefore domains.
+    Exact over GF(p) when p^dim fits the enumeration budget (x annihilates a
+    nonzero p iff its action operator is singular), and for a one-dimensional
+    acting algebra over any field (every nonzero element acts as a scalar
+    times the single basis operator).  Otherwise only a basis-pair witness
+    scan runs, so the positive answer degrades to Unknown.
     """
-    if a.dim == 1:
-        return TriState.HOLDS
-    z = a.field.zero
-    zero = a.zero()
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if a.multiply(a.basis_vector(i), a.basis_vector(j)) == zero:
-                return TriState.FAILS
-    if a.field.is_prime_field and a.field.p ** a.dim <= budget:
-        from .linalg import rref
+    f = acting.field
+    z, o = f.zero, f.one
+    module_basis = [
+        tuple(o if k == j else z for k in range(module_dim)) for j in range(module_dim)
+    ]
 
-        for coords in _all_elements(a):
-            if all(x == 0 for x in coords):
-                continue
-            _, rank = rref(a.left_mult(coords))
-            if rank < a.dim:
+    def operator(x) -> Matrix:
+        return Matrix.from_columns(f, [act(x, p) for p in module_basis], rows=module_dim)
+
+    if acting.dim == 1:
+        _, rank = rref(operator(acting.basis_vector(0)))
+        return TriState.from_bool(rank == module_dim)
+    zero = (z,) * module_dim
+    for i in range(acting.dim):
+        x = acting.basis_vector(i)
+        if any(act(x, p) == zero for p in module_basis):
+            return TriState.FAILS
+    if f.is_prime_field and f.p ** acting.dim <= budget:
+        for coords in _all_elements(acting):
+            if any(coords) and rref(operator(coords))[1] < module_dim:
                 return TriState.FAILS
         return TriState.HOLDS
     return TriState.UNKNOWN
+
+
+def domain_scan(a: FDAlgebra, budget: int = DEFAULT_BUDGET) -> TriState:
+    """Decide absence of zero divisors: ``_no_annihilating_pair`` for a acting
+    on itself by left multiplication.  One-dimensional unital algebras are
+    fields and therefore domains."""
+    return _no_annihilating_pair(a, a.dim, a.multiply, budget)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Fractions are immutable, so every rational zero and one can be the same object.
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
 class Field:
     """Arithmetic context for exact scalars over Q or GF(p)."""
 
@@ -111,11 +115,11 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.kind == "GF" else Fraction(0)
+        return 0 if self.kind == "GF" else _Q_ZERO
 
     @property
     def one(self):
-        return 1 if self.kind == "GF" else Fraction(1)
+        return 1 if self.kind == "GF" else _Q_ONE
 
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "GF" else a + b

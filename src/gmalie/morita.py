@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import DEFAULT_BUDGET, FDAlgebra, _canonical_tensor
+from .algebra import DEFAULT_BUDGET, FDAlgebra, _bilinear, _canonical_tensor, _no_annihilating_pair
 from .errors import DimensionMismatch, Violation
 from .linalg import Matrix, kernel
 from .tristate import TriState, tri_all, tri_any
@@ -91,23 +91,6 @@ def _named_tensor(f, tensor, shape, label):
         return _canonical_tensor(f, tensor, shape)
     except DimensionMismatch as exc:
         raise DimensionMismatch(f"{label}: {exc}") from exc
-
-
-def _bilinear(f, tensor, x, y, out_dim) -> tuple:
-    z = f.zero
-    acc = [z] * out_dim
-    for i, xi in enumerate(x):
-        if xi == z:
-            continue
-        plane = tensor[i]
-        for j, yj in enumerate(y):
-            if yj == z:
-                continue
-            c = f.mul(xi, yj)
-            for k, s in enumerate(plane[j]):
-                if s != z:
-                    acc[k] = f.add(acc[k], f.mul(c, s))
-    return tuple(acc)
 
 
 def validate_bimodule(m: Bimodule) -> list[Violation]:
@@ -248,38 +231,6 @@ def right_action_kernel(m: Bimodule):
     return _action_kernel(m, m.right, lambda b, p: m.act_right(p, b))
 
 
-def _no_annihilating_pair(m: Bimodule, algebra: FDAlgebra, act, budget) -> TriState:
-    """Does x.p = 0 force x = 0 or p = 0, for x in ``algebra`` acting through
-    ``act(x, p)``?  Exact over small prime fields, and for a one-dimensional
-    acting algebra over any field (every nonzero element acts as a scalar
-    times the single basis operator)."""
-    from .linalg import rref
-
-    f = m.field
-
-    def operator(x) -> Matrix:
-        cols = [act(x, m.basis_vector(j)) for j in range(m.dim)]
-        return Matrix.from_columns(f, cols, rows=m.dim)
-
-    if algebra.dim == 1:
-        _, rank = rref(operator(algebra.basis_vector(0)))
-        return TriState.from_bool(rank == m.dim)
-    zero = m.zero()
-    for i in range(algebra.dim):
-        for j in range(m.dim):
-            if act(algebra.basis_vector(i), m.basis_vector(j)) == zero:
-                return TriState.FAILS
-    if f.is_prime_field and f.p ** algebra.dim <= budget:
-        for coords in itertools.product(range(f.p), repeat=algebra.dim):
-            if all(x == 0 for x in coords):
-                continue
-            _, rank = rref(operator(coords))
-            if rank < m.dim:
-                return TriState.FAILS
-        return TriState.HOLDS
-    return TriState.UNKNOWN
-
-
 def strongly_faithful(m: Bimodule, budget: int = DEFAULT_BUDGET) -> TriState:
     """Either clause of strong faithfulness, Kleene-combined.
 
@@ -288,8 +239,8 @@ def strongly_faithful(m: Bimodule, budget: int = DEFAULT_BUDGET) -> TriState:
     """
     right_faithful = TriState.from_bool(right_action_kernel(m).dim == 0)
     left_faithful = TriState.from_bool(left_action_kernel(m).dim == 0)
-    left_pairs = _no_annihilating_pair(m, m.left, m.act_left, budget)
-    right_pairs = _no_annihilating_pair(m, m.right, lambda b, p: m.act_right(p, b), budget)
+    left_pairs = _no_annihilating_pair(m.left, m.dim, m.act_left, budget)
+    right_pairs = _no_annihilating_pair(m.right, m.dim, lambda b, p: m.act_right(p, b), budget)
     clause_one = tri_all((right_faithful, left_pairs))
     clause_two = tri_all((left_faithful, right_pairs))
     return tri_any((clause_one, clause_two))

@@ -16,7 +16,6 @@ probe order is fixed: first-diagonal, second-diagonal, upper, lower.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .algebra import (
     DEFAULT_BUDGET,
@@ -119,11 +118,6 @@ def _check_parts_shapes(g: GMAlgebra, shapes):
     for mat, rows, cols, what in shapes:
         if mat.rows != rows or mat.cols != cols or mat.field != g.field:
             raise DimensionMismatch(f"component {what} must be {rows}x{cols}")
-
-
-@lru_cache(maxsize=256)
-def _center_of(algebra) -> Subspace:
-    return center(algebra)
 
 
 # -- extraction -----------------------------------------------------------------
@@ -443,7 +437,7 @@ def _cross_central(g, parts) -> dict:
         ("a", "a_to_center_b", parts.a_to_center_b, c.a, c.b),
         ("b", "b_to_center_a", parts.b_to_center_a, c.b, c.a),
     ):
-        center_t = _center_of(target)
+        center_t = center(target)
         for i in range(cross.cols):
             if not center_t.contains_vector(cross.column(i)):
                 central.append(Violation(f"{name}_value", (i,)))
@@ -501,7 +495,7 @@ def check_central_parts(g: GMAlgebra, parts: CentralPresentation) -> Presentatio
         if parts.b_to_center_b.apply(w) != zero_b:
             bad["kill_commutators"].append(Violation("b_to_center_b", (idx,)))
 
-    z_g = _center_of(g.algebra)
+    z_g = center(g.algebra)
     zero_m = (f.zero,) * dm
     zero_n = (f.zero,) * dn
     for i in range(da):

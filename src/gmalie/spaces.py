@@ -12,9 +12,8 @@ two-torsion free modules, and over GF(2) nothing nonzero is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import FDAlgebra, commutator_span
+from .algebra import FDAlgebra, _bracket_tensor, _memo, center, commutator_span
 from .errors import CharacteristicTwoError, DimensionMismatch, PreconditionError
 from .gma import GMAlgebra
 from .linalg import Matrix, Subspace, kernel, solve, subspace_sum
@@ -110,18 +109,6 @@ def _require_odd(a: FDAlgebra):
         )
 
 
-def _bracket_tensor(a: FDAlgebra):
-    sub = a.field.sub
-    d = a.dim
-    return tuple(
-        tuple(
-            tuple(sub(a.structure[i][j][k], a.structure[j][i][k]) for k in range(d))
-            for j in range(d)
-        )
-        for i in range(d)
-    )
-
-
 def _leibniz_kernel(a: FDAlgebra, tensor, pairs) -> Subspace:
     """Kernel of T(x_i x_j) = T(x_i) x_j + x_i T(x_j) over the given product
     tensor, as a subspace of flattened matrices."""
@@ -152,19 +139,19 @@ def _leibniz_kernel(a: FDAlgebra, tensor, pairs) -> Subspace:
     return kernel(Matrix(f, rows, cols=d * d))
 
 
-@lru_cache(maxsize=256)
+@_memo
 def _derivation_space(a: FDAlgebra) -> MapSpace:
     pairs = [(i, j) for i in range(a.dim) for j in range(a.dim)]
     return MapSpace(a.dim, _leibniz_kernel(a, a.structure, pairs))
 
 
-@lru_cache(maxsize=256)
+@_memo
 def _lie_derivation_space(a: FDAlgebra) -> MapSpace:
     pairs = [(i, j) for i in range(a.dim) for j in range(i + 1, a.dim)]
     return MapSpace(a.dim, _leibniz_kernel(a, _bracket_tensor(a), pairs))
 
 
-@lru_cache(maxsize=256)
+@_memo
 def _central_map_space(a: FDAlgebra) -> MapSpace:
     """Maps with all values central that kill every commutator."""
     f = a.field
@@ -222,7 +209,7 @@ def central_map_space(g) -> MapSpace:
     return _central_map_space(a)
 
 
-@lru_cache(maxsize=256)
+@_memo
 def _proper_space(a: FDAlgebra) -> MapSpace:
     return MapSpace(
         a.dim, subspace_sum(_derivation_space(a).space, _central_map_space(a).space)
@@ -287,8 +274,6 @@ def is_central_commutator_free(g, endo: EndoMap) -> bool:
     """Are all values central and all commutators killed?"""
     a = _algebra_of(g)
     _check_shape(a, endo)
-    from .algebra import center
-
     z_a = center(a)
     for s in range(a.dim):
         if not z_a.contains_vector(endo.apply(a.basis_vector(s))):

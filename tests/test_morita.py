@@ -211,9 +211,9 @@ def test_right_side_checks_are_left_checks_on_the_opposite_module(field):
             # the two clauses of strong faithfulness trade places
             assert strongly_faithful(m) is strongly_faithful(op), label
             right_pairs = _no_annihilating_pair(
-                m, m.right, lambda b, p: m.act_right(p, b), DEFAULT_BUDGET
+                m.right, m.dim, lambda b, p: m.act_right(p, b), DEFAULT_BUDGET
             )
-            assert right_pairs is _no_annihilating_pair(op, op.left, op.act_left, DEFAULT_BUDGET)
+            assert right_pairs is _no_annihilating_pair(op.left, op.dim, op.act_left, DEFAULT_BUDGET)
             one_dimensional_sides += (m.left.dim == 1) + (m.right.dim == 1)
     assert one_dimensional_sides > 0
 

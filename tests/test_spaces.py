@@ -191,3 +191,30 @@ def test_gma_and_algebra_arguments_are_interchangeable():
     g = assemble(peirce(matrix_algebra(GF(3), 2), _e11(GF(3), 2)))
     assert derivation_space(g).dim == derivation_space(g.algebra).dim
     assert lie_derivation_space(g).dim == lie_derivation_space(g.algebra).dim
+
+
+def test_derived_facts_are_computed_once_per_algebra_value(monkeypatch):
+    import gmalie.algebra as algebra
+
+    a = matrix_algebra(GF(3), 2)
+    assert algebra.center(a) is algebra.center(a)
+    twin = matrix_algebra(GF(3), 2)
+    assert twin is not a and twin == a
+    assert derivation_space(twin) is derivation_space(a)
+
+    g = load_example("mat3_GF3_peirce").assembled("G")
+    algebra._facts.cache_clear()
+    kernels = []
+    real_kernel = algebra.kernel
+
+    def counting(m):
+        kernels.append(m.cols)
+        return real_kernel(m)
+
+    monkeypatch.setattr(algebra, "kernel", counting)
+    basis = lie_derivation_space(g).basis_maps()
+    assert len(basis) > 1
+    for endo in basis:
+        assert is_proper(g, endo).proper
+    # the center of g.algebra is the only kernel taken in gmalie.algebra
+    assert kernels == [g.algebra.dim]

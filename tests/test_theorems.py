@@ -3,6 +3,7 @@ import pytest
 from gmalie.algebra import FDAlgebra
 from gmalie.catalog import load_example
 from gmalie.constructions import (
+    dual_numbers,
     field_algebra,
     left_regular_bimodule,
     triangular_context,
@@ -12,6 +13,7 @@ from gmalie.constructions import (
 from gmalie.errors import CharacteristicTwoError, PreconditionError
 from gmalie.fields import GF, QQ
 from gmalie.gma import assemble
+from gmalie.morita import Bimodule
 from gmalie.spaces import has_lie_derivation_property
 from gmalie.theorems import (
     all_theorem_checks,
@@ -71,6 +73,14 @@ def _sqrt2_triangular():
     return assemble(
         triangular_context(ext, left_regular_bimodule(ext, field_algebra(QQ)), field_algebra(QQ))
     )
+
+
+def _dual_quotient_triangular():
+    """Triangular context of the dual numbers over GF(3) and GF(3), with M =
+    GF(3) on which eps acts as 0: only the domain alternative of clause
+    three splits, domain_a failing and domain_b holding."""
+    a, b = dual_numbers(GF(3)), field_algebra(GF(3))
+    return assemble(triangular_context(a, Bimodule(a, b, 1, [[[1]], [[0]]], [[[1]]]), b))
 
 
 def test_unknown_hypotheses_propagate():
@@ -256,14 +266,24 @@ _PINNED = {
         "combined: H True FHHHUHHHFFUHHF HHH",
         "trivial: H True FHHHUHHH HHH",
     ),
+    "dual_quotient_GF3": (
+        "central_ideal: F None FHHHFF",
+        "domains: F None FHHHFH",
+        "strong_faithfulness: F None HHF",
+        "combined: F None HHFHFHHHFFFHFF FHF",
+        "trivial: F None HHFHFHHH FHH",
+    ),
 }
 
 _LETTER = {TriState.HOLDS: "H", TriState.FAILS: "F", TriState.UNKNOWN: "U"}
 
 
+_BUILT = {"sqrt2_QQ": _sqrt2_triangular, "dual_quotient_GF3": _dual_quotient_triangular}
+
+
 def _pinned_context(case):
-    if case == "sqrt2_QQ":
-        return _sqrt2_triangular(), {}
+    if case in _BUILT:
+        return _BUILT[case](), {}
     name, _, setting = case.partition("-")
     kwargs = {}
     if setting:
