@@ -102,6 +102,16 @@ class FDAlgebra:
         if bad:
             raise ValidationFailure("invalid algebra", bad)
 
+    def __hash__(self):
+        # memo lookups hash the algebra: walk the d^3 entries once per
+        # instance.  The field enters as its characteristic, an int, so the
+        # value does not depend on the process's string-hash seed.
+        if "_hash" not in self.__dict__:
+            fields = (self.field.characteristic, self.dim, self.structure, self.unit)
+            extra = (self.declared_idempotents, self.idempotents_complete)
+            object.__setattr__(self, "_hash", hash(fields + extra))
+        return self.__dict__["_hash"]
+
     @classmethod
     def from_tensor(cls, field, structure, unit, **kw):
         return cls(field, len(structure), structure, unit, **kw)
@@ -255,11 +265,8 @@ def center(a: FDAlgebra) -> Subspace:
 
 @_memo
 def commutator_span(a: FDAlgebra) -> Subspace:
-    vectors = [
-        a.bracket(a.basis_vector(i), a.basis_vector(j))
-        for i in range(a.dim)
-        for j in range(i + 1, a.dim)
-    ]
+    bracket = _bracket_tensor(a)
+    vectors = [bracket[i][j] for i in range(a.dim) for j in range(i + 1, a.dim)]
     return Subspace(a.field, a.dim, vectors)
 
 
@@ -392,7 +399,10 @@ class GeneratedSubalgebra:
 def commutator_idempotent_subalgebra(
     a: FDAlgebra, budget: int = DEFAULT_BUDGET
 ) -> GeneratedSubalgebra:
-    scan = enumerate_idempotents(a, budget)
+    return _generated_subalgebra(a, enumerate_idempotents(a, budget))
+
+
+def _generated_subalgebra(a: FDAlgebra, scan: IdempotentScan) -> GeneratedSubalgebra:
     generators = list(commutator_span(a).basis.entries) + list(scan.elements)
     return GeneratedSubalgebra(subalgebra_closure(a, generators), scan.complete)
 
@@ -412,13 +422,12 @@ class StructureReport:
 
 def analyze_algebra(a: FDAlgebra, budget: int = DEFAULT_BUDGET) -> StructureReport:
     scan = enumerate_idempotents(a, budget)
-    generators = list(commutator_span(a).basis.entries) + list(scan.elements)
     return StructureReport(
         center=center(a),
         commutator_span=commutator_span(a),
         central_ideal_free=central_ideal_free(a),
         domain=domain_scan(a, budget),
         idempotents=scan,
-        generated=GeneratedSubalgebra(subalgebra_closure(a, generators), scan.complete),
+        generated=_generated_subalgebra(a, scan),
         budget=budget,
     )

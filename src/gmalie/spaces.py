@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FDAlgebra, _bracket_tensor, _memo, center, commutator_span
+from .algebra import FDAlgebra, _bracket_tensor, _memo, commutator_span
 from .errors import CharacteristicTwoError, DimensionMismatch, PreconditionError
 from .gma import GMAlgebra
 from .linalg import Matrix, Subspace, kernel, solve, subspace_sum
@@ -109,83 +109,101 @@ def _require_odd(a: FDAlgebra):
         )
 
 
-def _leibniz_kernel(a: FDAlgebra, tensor, pairs) -> Subspace:
-    """Kernel of T(x_i x_j) = T(x_i) x_j + x_i T(x_j) over the given product
-    tensor, as a subspace of flattened matrices."""
-    f = a.field
-    z = f.zero
-    d = a.dim
+# -- rules as tagged rows -------------------------------------------------------
+#
+# Each rule is one memoized tuple of sparse rows (tag, columns, coefficients)
+# over the flattened map: a map obeys the rule iff every row has a zero
+# product with its flattening.  The tag is shared by the rows of one basis
+# pair (product and bracket rules) or one value or commutator (central rule).
+
+
+def _add_row(rows: list, f, tag, terms):
+    """Append the row sum_t x_t e_{c_t} of (c_t, x_t) terms under ``tag``;
+    repeated columns add up, and a row that comes out zero is dropped."""
+    row = {}
+    for c, x in terms:
+        row[c] = f.add(row[c], x) if c in row else x
+    cols = tuple(c for c, x in row.items() if x != f.zero)
+    if cols:
+        rows.append((tag, cols, tuple(row[c] for c in cols)))
+
+
+def _leibniz_rows(a: FDAlgebra, tensor, pairs) -> tuple:
+    """T(x_i x_j) = T(x_i) x_j + x_i T(x_j) over the given product tensor:
+    one row per output coordinate k, tagged (i, j)."""
+    f, d, z, neg = a.field, a.dim, a.field.zero, a.field.neg
     rows = []
     for i, j in pairs:
-        plane_ij = tensor[i][j]
+        tag = (i, j)
         for k in range(d):
-            row = [z] * (d * d)
-            for l in range(d):
-                s = plane_ij[l]
-                if s != z:
-                    row[k * d + l] = f.add(row[k * d + l], s)
-            for p in range(d):
-                s = tensor[p][j][k]
-                if s != z:
-                    row[p * d + i] = f.sub(row[p * d + i], s)
-            for q in range(d):
-                s = tensor[i][q][k]
-                if s != z:
-                    row[q * d + j] = f.sub(row[q * d + j], s)
-            if any(x != z for x in row):
-                rows.append(row)
+            terms = [(k * d + l, s) for l, s in enumerate(tensor[i][j]) if s != z]
+            terms += [(p * d + i, neg(s)) for p in range(d) if (s := tensor[p][j][k]) != z]
+            terms += [(q * d + j, neg(s)) for q in range(d) if (s := tensor[i][q][k]) != z]
+            _add_row(rows, f, tag, terms)
+    return tuple(rows)
+
+
+@_memo
+def _product_rows(a: FDAlgebra) -> tuple:
+    return _leibniz_rows(a, a.structure, [(i, j) for i in range(a.dim) for j in range(a.dim)])
+
+
+@_memo
+def _bracket_rows(a: FDAlgebra) -> tuple:
+    pairs = [(i, j) for i in range(a.dim) for j in range(i + 1, a.dim)]
+    return _leibniz_rows(a, _bracket_tensor(a), pairs)
+
+
+@_memo
+def _central_rows(a: FDAlgebra) -> tuple:
+    """Every value central, [e_i, T(e_s)] = 0, tagged ("value", s); then every
+    commutator killed, T(w) = 0, tagged ("commutator", r) for the r-th basis
+    vector w of the commutator span."""
+    f, d, z = a.field, a.dim, a.field.zero
+    bracket = _bracket_tensor(a)
+    rows = []
+    for s in range(d):
+        tag = ("value", s)
+        for i in range(d):
+            for k in range(d):
+                terms = [(m * d + s, c) for m in range(d) if (c := bracket[i][m][k]) != z]
+                _add_row(rows, f, tag, terms)
+    for r, w in enumerate(commutator_span(a).basis.entries):
+        tag = ("commutator", r)
+        for k in range(d):
+            _add_row(rows, f, tag, [(k * d + s, ws) for s, ws in enumerate(w) if ws != z])
+    return tuple(rows)
+
+
+def _solutions(a: FDAlgebra, rows) -> MapSpace:
+    """The maps whose flattening every row annihilates."""
+    f, n = a.field, a.dim**2
     if not rows:
-        return Subspace.full(f, d * d)
-    return kernel(Matrix(f, rows, cols=d * d))
+        return MapSpace(a.dim, Subspace.full(f, n))
+
+    def dense(cols, coeffs):
+        row = [f.zero] * n
+        for c, x in zip(cols, coeffs):
+            row[c] = x
+        return row
+
+    return MapSpace(a.dim, kernel(Matrix(f, (dense(c, x) for _, c, x in rows), cols=n)))
 
 
 @_memo
 def _derivation_space(a: FDAlgebra) -> MapSpace:
-    pairs = [(i, j) for i in range(a.dim) for j in range(a.dim)]
-    return MapSpace(a.dim, _leibniz_kernel(a, a.structure, pairs))
+    return _solutions(a, _product_rows(a))
 
 
 @_memo
 def _lie_derivation_space(a: FDAlgebra) -> MapSpace:
-    pairs = [(i, j) for i in range(a.dim) for j in range(i + 1, a.dim)]
-    return MapSpace(a.dim, _leibniz_kernel(a, _bracket_tensor(a), pairs))
+    return _solutions(a, _bracket_rows(a))
 
 
 @_memo
 def _central_map_space(a: FDAlgebra) -> MapSpace:
     """Maps with all values central that kill every commutator."""
-    f = a.field
-    z = f.zero
-    d = a.dim
-    bracket = _bracket_tensor(a)
-    rows = []
-    # centrality of every image column: [e_i, T(e_s)] = 0
-    for s in range(d):
-        for i in range(d):
-            for k in range(d):
-                row = [z] * (d * d)
-                nonzero = False
-                for m in range(d):
-                    coeff = bracket[i][m][k]
-                    if coeff != z:
-                        row[m * d + s] = coeff
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    # vanishing on the commutator span
-    for w in commutator_span(a).basis.entries:
-        for k in range(d):
-            row = [z] * (d * d)
-            nonzero = False
-            for s, ws in enumerate(w):
-                if ws != z:
-                    row[k * d + s] = ws
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    if not rows:
-        return MapSpace(d, Subspace.full(f, d * d))
-    return MapSpace(d, kernel(Matrix(f, rows, cols=d * d)))
+    return _solutions(a, _central_rows(a))
 
 
 def derivation_space(g) -> MapSpace:
@@ -226,40 +244,32 @@ def proper_space(g) -> MapSpace:
 # -- pointwise identity checks -------------------------------------------------
 
 
-def derivation_defect(g, endo: EndoMap):
-    """First basis pair violating the product rule, or None."""
-    a = _algebra_of(g)
+def _first_failure(a: FDAlgebra, rule, endo: EndoMap):
+    """Tag of the first row of ``rule(a)`` with a nonzero product against the
+    flattened map, or None when the map obeys the rule."""
     _check_shape(a, endo)
     f = a.field
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        ti = endo.apply(ei)
-        for j in range(a.dim):
-            ej = a.basis_vector(j)
-            lhs = endo.apply(a.structure[i][j])
-            rhs1 = a.multiply(ti, ej)
-            rhs2 = a.multiply(ei, endo.apply(ej))
-            if lhs != tuple(f.add(x, y) for x, y in zip(rhs1, rhs2)):
-                return (i, j)
+    z = f.zero
+    flat = endo.flatten()
+    for tag, cols, coeffs in rule(a):
+        acc = z
+        for c, x in zip(cols, coeffs):
+            v = flat[c]
+            if v != z:
+                acc = f.add(acc, f.mul(x, v))
+        if acc != z:
+            return tag
     return None
+
+
+def derivation_defect(g, endo: EndoMap):
+    """First basis pair violating the product rule, or None."""
+    return _first_failure(_algebra_of(g), _product_rows, endo)
 
 
 def lie_defect(g, endo: EndoMap):
     """First basis pair violating the bracket rule, or None."""
-    a = _algebra_of(g)
-    _check_shape(a, endo)
-    f = a.field
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        ti = endo.apply(ei)
-        for j in range(i + 1, a.dim):
-            ej = a.basis_vector(j)
-            lhs = endo.apply(a.bracket(ei, ej))
-            rhs1 = a.bracket(ti, ej)
-            rhs2 = a.bracket(ei, endo.apply(ej))
-            if lhs != tuple(f.add(x, y) for x, y in zip(rhs1, rhs2)):
-                return (i, j)
-    return None
+    return _first_failure(_algebra_of(g), _bracket_rows, endo)
 
 
 def is_derivation(g, endo: EndoMap) -> bool:
@@ -272,17 +282,7 @@ def is_lie_derivation(g, endo: EndoMap) -> bool:
 
 def is_central_commutator_free(g, endo: EndoMap) -> bool:
     """Are all values central and all commutators killed?"""
-    a = _algebra_of(g)
-    _check_shape(a, endo)
-    z_a = center(a)
-    for s in range(a.dim):
-        if not z_a.contains_vector(endo.apply(a.basis_vector(s))):
-            return False
-    zero = a.zero()
-    for w in commutator_span(a).basis.entries:
-        if endo.apply(w) != zero:
-            return False
-    return True
+    return _first_failure(_algebra_of(g), _central_rows, endo) is None
 
 
 def _check_shape(a: FDAlgebra, endo: EndoMap):
@@ -329,22 +329,9 @@ def is_proper(g, endo: EndoMap) -> ProperSplit:
     coeffs = solve(stacked.transpose(), endo.flatten())
     if coeffs is None:
         return ProperSplit(proper=False)
-    f = a.field
-    d = a.dim
-    der_flat = [f.zero] * (d * d)
-    cen_flat = [f.zero] * (d * d)
-    for c, row in zip(coeffs[: der.dim], der.space.basis.entries):
-        if c != f.zero:
-            for t, x in enumerate(row):
-                if x != f.zero:
-                    der_flat[t] = f.add(der_flat[t], f.mul(c, x))
-    for c, row in zip(coeffs[der.dim :], cen.space.basis.entries):
-        if c != f.zero:
-            for t, x in enumerate(row):
-                if x != f.zero:
-                    cen_flat[t] = f.add(cen_flat[t], f.mul(c, x))
-    d_map = EndoMap.from_flat(f, tuple(der_flat), d)
-    c_map = EndoMap.from_flat(f, tuple(cen_flat), d)
+    f, d = a.field, a.dim
+    d_map = EndoMap.from_flat(f, der.space.from_coordinates(coeffs[: der.dim]), d)
+    c_map = EndoMap.from_flat(f, cen.space.from_coordinates(coeffs[der.dim :]), d)
     _validate_witness(a, endo, d_map, c_map)
     return ProperSplit(proper=True, derivation=d_map, central=c_map)
 

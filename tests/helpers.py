@@ -108,3 +108,45 @@ def random_fraction_matrix(rng: random.Random, rows, cols, span=6):
 
 def random_int_matrix(rng: random.Random, rows, cols, p):
     return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+
+# -- the three pointwise rules as per-pair loops ---------------------------------
+# Reference forms of derivation_defect, lie_defect and is_central_commutator_free
+# that multiply basis elements directly instead of reading the library's rows.
+
+
+def _leibniz_defect(a, endo, op, pairs):
+    f = a.field
+    for i, j in pairs:
+        ei, ej = a.basis_vector(i), a.basis_vector(j)
+        lhs = endo.apply(op(ei, ej))
+        rhs1 = op(endo.apply(ei), ej)
+        rhs2 = op(ei, endo.apply(ej))
+        if lhs != tuple(f.add(x, y) for x, y in zip(rhs1, rhs2)):
+            return (i, j)
+    return None
+
+
+def reference_derivation_defect(a, endo):
+    """First basis pair (i, j), in row-major order, where T(e_i e_j) differs
+    from T(e_i) e_j + e_i T(e_j); None for a derivation."""
+    pairs = [(i, j) for i in range(a.dim) for j in range(a.dim)]
+    return _leibniz_defect(a, endo, a.multiply, pairs)
+
+
+def reference_lie_defect(a, endo):
+    """First basis pair i < j where the bracket rule fails; None for a Lie
+    derivation."""
+    pairs = [(i, j) for i in range(a.dim) for j in range(i + 1, a.dim)]
+    return _leibniz_defect(a, endo, a.bracket, pairs)
+
+
+def reference_central_commutator_free(a, endo):
+    """Does every value T(e_s) commute with every basis element, and T(x) = 0
+    for every commutator [e_i, e_j]?"""
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    zero = a.zero()
+    values = [endo.apply(e) for e in basis]
+    if any(a.bracket(e, v) != zero for e in basis for v in values):
+        return False
+    return all(endo.apply(a.bracket(x, y)) == zero for x in basis for y in basis)

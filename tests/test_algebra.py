@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,43 @@ def test_bracket_alternating_and_matrix_units():
     # basis order e11, e12, e21, e22: [e11, e12] = e12
     e11, e12 = a.basis_vector(0), a.basis_vector(1)
     assert a.bracket(e11, e12) == e12
+
+
+def test_algebra_hash_is_cached_and_agrees_between_equal_algebras(monkeypatch):
+    a = matrix_algebra(QQ, 2)
+    twin = matrix_algebra(QQ, 2)
+    assert twin is not a and hash(twin) == hash(a)
+    walked = []
+    real = Fraction.__hash__
+
+    def counting(x):
+        walked.append(x)
+        return real(x)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    hash(a)
+    assert walked == []  # the second hash does not walk the structure again
+    assert hash(matrix_algebra(QQ, 2)) == hash(a)
+    assert walked  # a fresh instance walks it once
+
+
+def test_algebra_hash_does_not_depend_on_the_string_hash_seed():
+    code = (
+        "from gmalie.constructions import matrix_algebra; from gmalie.fields import GF;"
+        "print(hash(matrix_algebra(GF(3), 2)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(env, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(out) == 1
 
 
 def test_invalid_structure_names_indices():
