@@ -208,20 +208,22 @@ def structure_violations(field, dim, structure, unit, cap=8):
 
 
 @lru_cache(maxsize=256)
-def _facts(a: FDAlgebra) -> dict:
-    """The derived facts computed so far for one algebra value, by builder."""
+def _facts(a) -> dict:
+    """The derived facts computed so far for one algebra (or assembled
+    context) value, by builder."""
     return {}
 
 
 def _memo(build):
-    """Run ``build(a)`` once per algebra value.
+    """Run ``build(a)`` once per value of ``a``: an algebra, or an assembled
+    context.
 
-    Equal algebras built separately share one entry, and every caller gets
+    Equal values built separately share one entry, and every caller gets
     the same result object, so builders must return immutable values.
     """
 
     @wraps(build)
-    def cached(a: FDAlgebra):
+    def cached(a):
         facts = _facts(a)
         if build not in facts:
             facts[build] = build(a)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FDAlgebra, center
+from .algebra import FDAlgebra, _memo, center
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -193,7 +193,9 @@ class CenterAnalysis:
         return self.center_iso is not None
 
 
+@_memo
 def center_analysis(g: GMAlgebra) -> CenterAnalysis:
+    """Computed once per context value and shared by every caller."""
     c = g.context
     f = g.field
     da, dm, dn, db = g.block_dims
@@ -318,14 +320,9 @@ def is_trivial(c: MoritaContext) -> bool:
     return all(x == z for x in flat)
 
 
-def peirce(a: FDAlgebra, idem) -> MoritaContext:
-    """Peirce decomposition of a unital algebra at a nontrivial idempotent.
-
-    Returns the Morita context with corner algebras p.A.p and q.A.q and
-    off-diagonal bimodules p.A.q, q.A.p (q = 1 - p); actions and pairings
-    are induced by multiplication in A.  Bases are the canonical RREF bases
-    of the four block subspaces.
-    """
+def _peirce_corners(a: FDAlgebra, idem):
+    """The idempotent p, q = 1 - p, and the corners p.A.p, p.A.q, q.A.p, q.A.q
+    as canonical subspaces of A; p must be a nontrivial idempotent."""
     f = a.field
     p = tuple(f.of(x) for x in idem)
     if len(p) != a.dim:
@@ -340,10 +337,19 @@ def peirce(a: FDAlgebra, idem) -> MoritaContext:
         vecs = [a.multiply(left, a.multiply(a.basis_vector(i), right)) for i in range(a.dim)]
         return Subspace(f, a.dim, vecs)
 
-    s_a = corner(p, p)
-    s_m = corner(p, q)
-    s_n = corner(q, p)
-    s_b = corner(q, q)
+    return p, q, (corner(p, p), corner(p, q), corner(q, p), corner(q, q))
+
+
+def peirce(a: FDAlgebra, idem) -> MoritaContext:
+    """Peirce decomposition of a unital algebra at a nontrivial idempotent.
+
+    Returns the Morita context with corner algebras p.A.p and q.A.q and
+    off-diagonal bimodules p.A.q, q.A.p (q = 1 - p); actions and pairings
+    are induced by multiplication in A.  Bases are the canonical RREF bases
+    of the four block subspaces.
+    """
+    f = a.field
+    p, q, (s_a, s_m, s_n, s_b) = _peirce_corners(a, idem)
 
     def coords(space, vec, what):
         out = space.coordinates(vec)
@@ -388,21 +394,12 @@ def peirce(a: FDAlgebra, idem) -> MoritaContext:
     return MoritaContext(alg_a, alg_b, mod_m, mod_n, pair_mn, pair_nm)
 
 
-def peirce_embedding(a: FDAlgebra, ctx: MoritaContext, idem) -> Matrix:
+def peirce_embedding(a: FDAlgebra, idem) -> Matrix:
     """Change-of-basis matrix from assembled Peirce coordinates back to A.
 
     Columns are the block basis representatives inside A, in (A, M, N, B)
     order; the map is an algebra isomorphism onto A.
     """
-    f = a.field
-    p = tuple(f.of(x) for x in idem)
-    q = tuple(f.sub(x, y) for x, y in zip(a.unit, p))
-
-    def corner(left, right):
-        vecs = [a.multiply(left, a.multiply(a.basis_vector(i), right)) for i in range(a.dim)]
-        return Subspace(f, a.dim, vecs)
-
-    cols = []
-    for space in (corner(p, p), corner(p, q), corner(q, p), corner(q, q)):
-        cols.extend(space.basis.entries)
-    return Matrix.from_columns(f, cols, rows=a.dim)
+    _, _, corners = _peirce_corners(a, idem)
+    cols = [vec for space in corners for vec in space.basis.entries]
+    return Matrix.from_columns(a.field, cols, rows=a.dim)

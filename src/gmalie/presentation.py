@@ -25,7 +25,7 @@ from .algebra import (
     enumerate_idempotents,
 )
 from .errors import ConsistencyError, DimensionMismatch, PreconditionError, Violation
-from .gma import CenterAnalysis, GMAlgebra, center_analysis
+from .gma import GMAlgebra, center_analysis
 from .linalg import Matrix, Subspace, inverse, kernel
 from .morita import left_action_kernel, right_action_kernel
 from .spaces import (
@@ -527,9 +527,7 @@ def check_central_parts(g: GMAlgebra, parts: CentralPresentation) -> Presentatio
 # -- properness criteria -------------------------------------------------------------
 
 
-def companion_central_maps(
-    g: GMAlgebra, parts: LiePresentation, analysis: CenterAnalysis | None = None
-):
+def companion_central_maps(g: GMAlgebra, parts: LiePresentation):
     """Center-valued diagonal companions of the cross maps, composed through
     the center isomorphism (and its inverse).
 
@@ -537,8 +535,7 @@ def companion_central_maps(
     ranges inside the projected centers; a range failure names the first
     violating basis element.
     """
-    if analysis is None:
-        analysis = center_analysis(g)
+    analysis = center_analysis(g)
     if analysis.center_iso is None:
         raise PreconditionError(
             "companion maps need the center isomorphism (module not faithful)"
@@ -596,9 +593,38 @@ class CriteriaReport:
     oracle_agrees: bool | None
 
 
-def properness_criteria(
-    g: GMAlgebra, parts: LiePresentation, analysis: CenterAnalysis | None = None
-) -> CriteriaReport:
+def _criteria_witnesses(g: GMAlgebra, parts: LiePresentation) -> tuple:
+    """First failing index of each properness criterion, or None where it
+    holds: the first-diagonal basis element whose cross image leaves
+    ``proj_b``, the second-diagonal one whose cross image leaves ``proj_a``,
+    and the (M, N) basis pair whose cross-mapped pairings are not a central
+    pair.  Every criterion is linear in the map."""
+    an = center_analysis(g)
+    c = g.context
+    f = g.field
+    da, dm, dn, db = g.block_dims
+    cross_a, cross_b = parts.a_to_center_b, parts.b_to_center_a
+    zero_m = (f.zero,) * dm
+    zero_n = (f.zero,) * dn
+
+    def central_pair(i, j):
+        em, en = c.m.basis_vector(i), c.n.basis_vector(j)
+        pair = g.embed(
+            cross_b.apply(c.pair_nm_apply(en, em)),
+            zero_m,
+            zero_n,
+            cross_a.apply(c.pair_mn_apply(em, en)),
+        )
+        return an.center.contains_vector(pair)
+
+    return (
+        next((i for i in range(da) if not an.proj_b.contains_vector(cross_a.column(i))), None),
+        next((j for j in range(db) if not an.proj_a.contains_vector(cross_b.column(j))), None),
+        next(((i, j) for i in range(dm) for j in range(dn) if not central_pair(i, j)), None),
+    )
+
+
+def properness_criteria(g: GMAlgebra, parts: LiePresentation) -> CriteriaReport:
     """Evaluate the cross-map range conditions and the central-pair pairing
     condition; conclude properness when the module is faithful.
 
@@ -608,42 +634,8 @@ def properness_criteria(
     compared against the subspace oracle; disagreement raises
     :class:`ConsistencyError`.
     """
-    if analysis is None:
-        analysis = center_analysis(g)
     c = g.context
-    f = g.field
-    da, dm, dn, db = g.block_dims
-
-    range_a_ok, range_a_witness = True, None
-    for i in range(da):
-        if not analysis.proj_b.contains_vector(parts.a_to_center_b.column(i)):
-            range_a_ok, range_a_witness = False, i
-            break
-    range_b_ok, range_b_witness = True, None
-    for j in range(db):
-        if not analysis.proj_a.contains_vector(parts.b_to_center_a.column(j)):
-            range_b_ok, range_b_witness = False, j
-            break
-
-    zero_m = (f.zero,) * dm
-    zero_n = (f.zero,) * dn
-    central_pairs_ok, pairs_witness = True, None
-    for i in range(dm):
-        em = c.m.basis_vector(i)
-        for j in range(dn):
-            en = c.n.basis_vector(j)
-            pair = g.embed(
-                parts.b_to_center_a.apply(c.pair_nm_apply(en, em)),
-                zero_m,
-                zero_n,
-                parts.a_to_center_b.apply(c.pair_mn_apply(em, en)),
-            )
-            if not analysis.center.contains_vector(pair):
-                central_pairs_ok, pairs_witness = False, (i, j)
-                break
-        if not central_pairs_ok:
-            break
-
+    range_a, range_b, pairs = _criteria_witnesses(g, parts)
     m_faithful = (
         left_action_kernel(c.m).dim == 0 and right_action_kernel(c.m).dim == 0
     )
@@ -651,11 +643,11 @@ def properness_criteria(
     verdict = None
     d_map = None
     c_map = None
-    if not (range_a_ok and range_b_ok and central_pairs_ok):
+    if (range_a, range_b, pairs) != (None, None, None):
         verdict = "not_proper"
     elif m_faithful:
         verdict = "proper"
-        d_map, c_map = _build_decomposition(g, parts, analysis)
+        d_map, c_map = _build_decomposition(g, parts)
 
     oracle_agrees = None
     if verdict is not None:
@@ -667,12 +659,12 @@ def properness_criteria(
                 f"criteria verdict {verdict!r} disagrees with the subspace oracle"
             )
     return CriteriaReport(
-        range_a_ok=range_a_ok,
-        range_a_witness=range_a_witness,
-        range_b_ok=range_b_ok,
-        range_b_witness=range_b_witness,
-        central_pairs_ok=central_pairs_ok,
-        central_pairs_witness=pairs_witness,
+        range_a_ok=range_a is None,
+        range_a_witness=range_a,
+        range_b_ok=range_b is None,
+        range_b_witness=range_b,
+        central_pairs_ok=pairs is None,
+        central_pairs_witness=pairs,
         m_faithful=m_faithful,
         verdict=verdict,
         derivation=d_map,
@@ -681,12 +673,12 @@ def properness_criteria(
     )
 
 
-def _build_decomposition(g: GMAlgebra, parts: LiePresentation, analysis: CenterAnalysis):
+def _build_decomposition(g: GMAlgebra, parts: LiePresentation):
     """Derivation + central map splitting, built from the companion maps; each
     part must satisfy its presentation conditions."""
     f = g.field
     da, _, _, db = g.block_dims
-    comp_a, comp_b = companion_central_maps(g, parts, analysis)
+    comp_a, comp_b = companion_central_maps(g, parts)
     d_parts = replace(
         parts,
         on_a=parts.on_a - comp_a,

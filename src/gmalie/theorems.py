@@ -24,8 +24,8 @@ from .algebra import DEFAULT_BUDGET, central_ideal_free, commutator_idempotent_s
 from .errors import CharacteristicTwoError, PreconditionError
 from .gma import GMAlgebra, center_analysis, is_trivial
 from .morita import left_action_kernel, right_action_kernel, strongly_faithful
-from .presentation import extract_lie
-from .spaces import has_lie_derivation_property, is_proper, lie_derivation_space
+from .presentation import _criteria_witnesses, _read_lie_parts
+from .spaces import has_lie_derivation_property, proper_space
 from .tristate import TriState, tri_all, tri_any
 
 DEFAULT_LDP_DIM_CAP = 6
@@ -77,22 +77,13 @@ def _ldp_tristate(algebra, dim_cap: int) -> TriState:
 
 
 def _necessity_on_basis(facts) -> TriState:
-    """The necessary direction, on every basis Lie derivation of the
-    assembled algebra: a proper one must have both cross-map ranges inside
-    the projected centers."""
-    g, an = facts.g, facts.center
-    da, db = g.block_dims[0], g.block_dims[3]
-    for endo in lie_derivation_space(g).basis_maps():
-        if not is_proper(g, endo).proper:
-            continue
-        parts = extract_lie(g, endo)
-        range_a = all(
-            an.proj_b.contains_vector(parts.a_to_center_b.column(i)) for i in range(da)
-        )
-        range_b = all(
-            an.proj_a.contains_vector(parts.b_to_center_a.column(j)) for j in range(db)
-        )
-        if not (range_a and range_b):
+    """The necessary direction, on every proper map of the assembled
+    algebra: both cross-map ranges lie inside the projected centers and the
+    cross-mapped pairings are central pairs.  The criteria are linear in the
+    map, so the basis of the memoized proper space covers every proper map."""
+    g = facts.g
+    for endo in proper_space(g).basis_maps():
+        if _criteria_witnesses(g, _read_lie_parts(g, endo)) != (None, None, None):
             return TriState.FAILS
     return TriState.HOLDS
 

@@ -3,6 +3,8 @@
 The rank routine uses fraction-free elimination on numpy arrays (no modular
 inverses, no Gauss-Jordan); the structure tensors for matrix algebras are
 rebuilt from numpy matrix products rather than the library's constructors.
+The properness references decide one map at a time through the library's
+per-map entry points, independently of the subspace path they check.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
+
+from gmalie.gma import center_analysis
+from gmalie.presentation import extract_lie
+from gmalie.spaces import is_proper, lie_derivation_space
 
 
 def modp_rank(rows, p) -> int:
@@ -150,3 +156,54 @@ def reference_central_commutator_free(a, endo):
     if any(a.bracket(e, v) != zero for e in basis for v in values):
         return False
     return all(endo.apply(a.bracket(x, y)) == zero for x in basis for y in basis)
+
+
+# -- the properness criteria, one map at a time -----------------------------------
+# Reference forms of presentation._criteria_witnesses (three loops) and of the
+# trivial check's necessity scan (every basis Lie derivation that is_proper
+# accepts, extracted and tested on both cross-map ranges).
+
+
+def reference_criteria_witnesses(g, parts):
+    """First failing index of the range-a, range-b and central-pairs
+    criteria, or None where the criterion holds."""
+    an = center_analysis(g)
+    c, f = g.context, g.field
+    da, dm, dn, db = g.block_dims
+    range_a = range_b = pairs = None
+    for i in range(da):
+        if not an.proj_b.contains_vector(parts.a_to_center_b.column(i)):
+            range_a = i
+            break
+    for j in range(db):
+        if not an.proj_a.contains_vector(parts.b_to_center_a.column(j)):
+            range_b = j
+            break
+    zero_m, zero_n = (f.zero,) * dm, (f.zero,) * dn
+    for i in range(dm):
+        em = c.m.basis_vector(i)
+        for j in range(dn):
+            en = c.n.basis_vector(j)
+            pair = g.embed(
+                parts.b_to_center_a.apply(c.pair_nm_apply(en, em)),
+                zero_m,
+                zero_n,
+                parts.a_to_center_b.apply(c.pair_mn_apply(em, en)),
+            )
+            if not an.center.contains_vector(pair):
+                pairs = (i, j)
+                break
+        if pairs is not None:
+            break
+    return range_a, range_b, pairs
+
+
+def reference_necessity_on_basis(g) -> bool:
+    """Do both cross-map ranges of every proper basis Lie derivation lie in
+    the projected centers?"""
+    for endo in lie_derivation_space(g).basis_maps():
+        if not is_proper(g, endo).proper:
+            continue
+        if reference_criteria_witnesses(g, extract_lie(g, endo))[:2] != (None, None):
+            return False
+    return True

@@ -196,11 +196,10 @@ def test_criterion_8_criteria_agree_with_oracle(fuzzed_contexts):
         )
         if not faithful:
             continue
-        an = center_analysis(g)
         for endo in lie_derivation_space(g).basis_maps():
             parts = extract_lie(g, endo)
             # a verdict/oracle mismatch raises ConsistencyError inside
-            crit = properness_criteria(g, parts, an)
+            crit = properness_criteria(g, parts)
             assert crit.verdict is not None, label
             assert crit.oracle_agrees is True, label
             assert (crit.verdict == "proper") == is_proper(g, endo).proper, label

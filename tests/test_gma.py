@@ -161,6 +161,15 @@ def test_peirce_rejects_trivial_or_fake_idempotents():
         peirce(a, a.basis_vector(1))  # e12 is nilpotent
 
 
+def test_peirce_embedding_rejects_trivial_idempotents():
+    # at 0 or 1 one corner is all of A and the others vanish: the identity
+    # matrix, silently, if the idempotent went unchecked
+    a = matrix_algebra(QQ, 2)
+    for idem in (a.unit, a.zero()):
+        with pytest.raises(PreconditionError, match="nontrivial idempotent"):
+            peirce_embedding(a, idem)
+
+
 @pytest.mark.parametrize(
     "algebra,idem_index",
     [
@@ -179,7 +188,7 @@ def test_peirce_assembles_isomorphically(algebra, idem_index):
         p = algebra.basis_vector(idem_index)
     ctx = peirce(algebra, p)
     g = assemble(ctx)
-    t = peirce_embedding(algebra, ctx, p)
+    t = peirce_embedding(algebra, p)
     assert t.shape == (algebra.dim, g.algebra.dim)
     _, rank = rref(t)
     assert rank == algebra.dim

@@ -1,8 +1,10 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmalie.catalog import load_example
 from gmalie.constructions import (
@@ -13,11 +15,14 @@ from gmalie.constructions import (
 )
 from gmalie.errors import PreconditionError, Violation
 from gmalie.fields import GF, QQ
-from gmalie.gma import assemble, center_analysis, peirce
+from gmalie.fuzzing import FuzzConfig, generate_contexts
+from gmalie.gma import assemble, center_analysis, is_trivial, peirce
 from gmalie.linalg import Matrix
 from gmalie.presentation import (
     CentralPresentation,
     LiePresentation,
+    _criteria_witnesses,
+    _read_lie_parts,
     central_pair_subalgebra,
     check_central_parts,
     check_derivation_parts,
@@ -39,6 +44,8 @@ from gmalie.spaces import (
     lie_defect,
     lie_derivation_space,
 )
+
+from helpers import reference_criteria_witnesses
 
 
 def _e11(f, n):
@@ -170,7 +177,7 @@ def test_companion_maps_zero_and_identity_cases():
     assert an.center_iso.to_lists() == [[1]]
     for endo in lie_derivation_space(tri).basis_maps():
         parts = extract_lie(tri, endo)
-        comp_a, comp_b = companion_central_maps(tri, parts, an)
+        comp_a, comp_b = companion_central_maps(tri, parts)
         # the isomorphism is the identity scalar, so companions equal crosses
         assert comp_a.entries == parts.a_to_center_b.entries
         assert comp_b.entries == parts.b_to_center_a.entries
@@ -215,6 +222,52 @@ def test_criteria_agree_with_oracle_on_peirce_basis():
         assert (crit.verdict == "proper") == split.proper
         if crit.verdict == "proper":
             assert crit.derivation.matrix + crit.central.matrix == endo.matrix
+
+
+@lru_cache(maxsize=None)
+def _paired_contexts():
+    """The two matrix Peirce examples, and the contexts of a GF(3) and a QQ
+    fuzz slice with nonzero pairings and a projected center smaller than its
+    block (elsewhere no range criterion can fail)."""
+    out = [load_example(name).assembled("G") for name in ("mat2_GF3_peirce", "mat3_GF3_peirce")]
+    for f, count in ((GF(3), 40), (QQ, 20)):
+        for _, ctx in generate_contexts(FuzzConfig(seed=1, count=count, field=f, max_dims=(3,) * 4)):
+            g = assemble(ctx)
+            an = center_analysis(g)
+            smaller = (an.proj_a.dim, an.proj_b.dim) != (ctx.a.dim, ctx.b.dim)
+            if smaller and not is_trivial(ctx):
+                out.append(g)
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_criteria_witnesses_match_the_per_criterion_loops(data):
+    g = data.draw(st.sampled_from(_paired_contexts()))
+    f = g.field
+    start = lie_derivation_space(g).basis_maps() + (EndoMap.zero(f, g.algebra.dim),)
+    parts = _read_lie_parts(g, data.draw(st.sampled_from(start)))
+    crosses = {"a_to_center_b": parts.a_to_center_b, "b_to_center_a": parts.b_to_center_a}
+    for name, cross in crosses.items():
+        rows = cross.to_lists()
+        for _ in range(data.draw(st.integers(0, 2))):
+            r = data.draw(st.integers(0, cross.rows - 1))
+            c = data.draw(st.integers(0, cross.cols - 1))
+            rows[r][c] = f.add(rows[r][c], f.of(data.draw(st.integers(-2, 2))))
+        crosses[name] = Matrix(f, rows, cols=cross.cols)
+    parts = replace(parts, **crosses)
+    assert _criteria_witnesses(g, parts) == reference_criteria_witnesses(g, parts)
+
+
+def test_central_pairs_witness_is_the_first_pair_in_row_major_order():
+    # on M_3 at e11 the off-diagonal pairs (0, 1) and (1, 0) fail exactly
+    # when the second cross map is nonzero on the matching units of B; here
+    # both fail and (0, 0) holds
+    g = load_example("mat3_GF3_peirce").assembled("G")
+    parts = _read_lie_parts(g, EndoMap.zero(g.field, g.algebra.dim))
+    parts = replace(parts, b_to_center_a=Matrix(g.field, [[0, 1, 1, 0]], cols=4))
+    assert reference_criteria_witnesses(g, parts) == (None, None, (0, 1))
+    assert _criteria_witnesses(g, parts) == (None, None, (0, 1))
 
 
 def test_central_pair_subalgebra_everything_when_maps_vanish():

@@ -1,5 +1,11 @@
+import sys
+from dataclasses import replace
+
 import pytest
 
+import gmalie.gma
+import gmalie.presentation
+import gmalie.spaces
 from gmalie.algebra import FDAlgebra
 from gmalie.catalog import load_example
 from gmalie.constructions import (
@@ -12,7 +18,9 @@ from gmalie.constructions import (
 )
 from gmalie.errors import CharacteristicTwoError, PreconditionError
 from gmalie.fields import GF, QQ
-from gmalie.gma import assemble
+from gmalie.fuzzing import FuzzConfig, generate_contexts
+from gmalie.gma import assemble, is_trivial
+from gmalie.linalg import Subspace
 from gmalie.morita import Bimodule
 from gmalie.spaces import has_lie_derivation_property
 from gmalie.theorems import (
@@ -24,6 +32,8 @@ from gmalie.theorems import (
     check_trivial,
 )
 from gmalie.tristate import TriState
+
+from helpers import reference_necessity_on_basis
 
 
 def _g(name):
@@ -344,6 +354,71 @@ def test_each_fact_is_evaluated_once_per_context(name, monkeypatch):
     # one oracle call on the assembled algebra, shared by every holding check
     assert calls[("has_lie_derivation_property", id(g))] == 1
     assert sum(v.oracle_agrees is True for v in verdicts) >= 2
+
+
+def _patch_every_binding(monkeypatch, fn, replacement):
+    """Replace ``fn`` wherever a gmalie module binds it."""
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "gmalie" or mod_name.startswith("gmalie."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def _necessity(g):
+    return dict(check_trivial(g).extras)["necessity_on_basis"]
+
+
+@pytest.mark.parametrize("name", ["trivial_QQQ", "example_sec4"])
+def test_theorem_checks_decide_no_single_map(name, monkeypatch):
+    called = []
+    for fn in (gmalie.spaces.is_proper, gmalie.spaces.lie_defect, gmalie.presentation.extract_lie):
+
+        def wrapper(*args, _fn=fn, **kwargs):
+            called.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+
+        _patch_every_binding(monkeypatch, fn, wrapper)
+    verdicts = all_theorem_checks(_g(name))
+    assert verdicts[-1].check_id == "trivial"
+    assert called == []
+
+
+@pytest.mark.parametrize("name", ["trivial_QQQ", "example_sec4"])
+def test_necessity_fails_when_the_projected_centers_are_zero(name, monkeypatch):
+    # every proper map with a nonzero cross map now breaks a range
+    # criterion; a scan over the derivations (zero cross maps) or over no
+    # maps would still report Holds
+    g = _g(name)
+    assert _necessity(g) is TriState.HOLDS
+    original = gmalie.gma.center_analysis
+
+    def zero_projections(h):
+        an = original(h)
+        da, _, _, db = h.block_dims
+        return replace(an, proj_a=Subspace.zero(h.field, da), proj_b=Subspace.zero(h.field, db))
+
+    _patch_every_binding(monkeypatch, original, zero_projections)
+    assert _necessity(g) is TriState.FAILS
+
+
+def test_necessity_scan_matches_the_per_map_reference():
+    # the GF(5) slice has contexts where some Lie derivation is not proper,
+    # where the reference skips basis maps that the proper space covers
+    checked = failing_property = 0
+    for config in (
+        FuzzConfig(seed=2, count=30, field=GF(5), max_dims=(3, 3, 3, 3)),
+        FuzzConfig(seed=1, count=12, field=QQ),
+    ):
+        for label, ctx in generate_contexts(config):
+            if not is_trivial(ctx):
+                continue
+            g = assemble(ctx)
+            expected = TriState.from_bool(reference_necessity_on_basis(g))
+            assert _necessity(g) is expected, label
+            failing_property += not has_lie_derivation_property(g)
+            checked += 1
+    assert checked >= 30 and failing_property >= 1
 
 
 def test_negative_budget_and_cap_are_refused():
