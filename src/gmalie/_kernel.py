@@ -47,16 +47,16 @@ def rref_mod_p(data, p):
             for j in range(c, nc):
                 if prow[j]:
                     prow[j] = prow[j] * inv % p
+        # the pivot row's nonzeros, found once and reused for every row
+        support = [(j, pj) for j in range(c, nc) if (pj := prow[j])]
         for i in range(nr):
             if i == r:
                 continue
-            f = rows[i][c]
+            ri = rows[i]
+            f = ri[c]
             if f:
-                ri = rows[i]
-                for j in range(c, nc):
-                    pj = prow[j]
-                    if pj:
-                        ri[j] = (ri[j] - f * pj) % p
+                for j, pj in support:
+                    ri[j] = (ri[j] - f * pj) % p
         pivots.append(c)
         r += 1
         if r == nr:

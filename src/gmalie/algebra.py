@@ -191,12 +191,29 @@ def structure_violations(field, dim, structure, unit, cap=8):
             bad.append(Violation("right_unit", (i,)))
         if len(bad) >= cap:
             return bad
+    # (e_i e_j) e_k against e_i (e_j e_k), summed over nonzero terms only:
+    # support[i][j] lists the (m, s) with e_i e_j = sum s e_m
+    support = [
+        [[(m, s) for m, s in enumerate(row) if s != z] for row in plane] for plane in structure
+    ]
+    times_e = [[support[m][k] for m in range(dim)] for k in range(dim)]
+    add, mul = f.add, f.mul
+
+    def combine(terms, products):
+        """sum_(m, s) s * products[m], as a dict of its nonzero coordinates."""
+        acc = {}
+        for m, s in terms:
+            for n, t in products[m]:
+                st = mul(s, t)
+                acc[n] = add(acc[n], st) if n in acc else st
+        return {n: x for n, x in acc.items() if x != z}
+
     for i in range(dim):
         for j in range(dim):
-            ij = structure[i][j]
+            ij = support[i][j]
             for k in range(dim):
-                left = _bilinear(f, structure, ij, basis[k], dim)
-                right = _bilinear(f, structure, basis[i], structure[j][k], dim)
+                left = combine(ij, times_e[k])
+                right = combine(support[j][k], support[i])
                 if left != right:
                     bad.append(Violation("associativity", (i, j, k)))
                     if len(bad) >= cap:

@@ -17,6 +17,7 @@ __all__ = [
     "Subspace",
     "rref",
     "kernel",
+    "sparse_kernel",
     "solve",
     "inverse",
     "subspace_sum",
@@ -291,6 +292,61 @@ def kernel(m: Matrix) -> "Subspace":
                 vec[c] = f.neg(coeff)
         basis.append(vec)
     return Subspace(f, m.cols, basis)
+
+
+def sparse_kernel(field, n: int, rows) -> "Subspace":
+    """Canonical basis of {x in F^n : every row annihilates x}, the rows
+    given sparse as (columns, coefficients) pairs.
+
+    Rows that share a column are joined into one block by a union-find over
+    the columns, and each block is solved by :func:`kernel` over its own
+    columns only.  The lifted block kernels have disjoint supports, and a
+    column that no row touches is free, so these vectors together with the
+    unit vectors of the free columns, sorted by pivot, are already the RREF
+    basis that one dense elimination of all the rows would give.
+    """
+    parent = list(range(n))
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    rows = [(cols, coeffs) for cols, coeffs in rows if cols]
+    for cols, _ in rows:
+        first = root(cols[0])
+        for c in cols[1:]:
+            parent[root(c)] = first
+    blocks = {}
+    for row in rows:
+        blocks.setdefault(root(row[0][0]), []).append(row)
+
+    z, o = field.zero, field.one
+    touched = set()
+    vectors = []
+    for block in blocks.values():
+        cols = sorted({c for row_cols, _ in block for c in row_cols})
+        touched.update(cols)
+        local = {c: t for t, c in enumerate(cols)}
+        dense = []
+        for row_cols, coeffs in block:
+            row = [z] * len(cols)
+            for c, x in zip(row_cols, coeffs):
+                row[local[c]] = x
+            dense.append(row)
+        for v in kernel(Matrix(field, dense, cols=len(cols))).basis.entries:
+            vec = [z] * n
+            for c, x in zip(cols, v):
+                vec[c] = x
+            vectors.append(vec)
+    for c in range(n):
+        if c not in touched:
+            vec = [z] * n
+            vec[c] = o
+            vectors.append(vec)
+    vectors.sort(key=lambda vec: next(j for j, x in enumerate(vec) if x != z))
+    return Subspace(field, n, vectors, _reduced=True)
 
 
 def solve(m: Matrix, vec):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import FDAlgebra, _bracket_tensor, _memo, commutator_span
 from .errors import CharacteristicTwoError, DimensionMismatch, PreconditionError
 from .gma import GMAlgebra
-from .linalg import Matrix, Subspace, kernel, solve, subspace_sum
+from .linalg import Matrix, Subspace, solve, sparse_kernel, subspace_sum
 
 __all__ = [
     "EndoMap",
@@ -176,18 +176,9 @@ def _central_rows(a: FDAlgebra) -> tuple:
 
 
 def _solutions(a: FDAlgebra, rows) -> MapSpace:
-    """The maps whose flattening every row annihilates."""
-    f, n = a.field, a.dim**2
-    if not rows:
-        return MapSpace(a.dim, Subspace.full(f, n))
-
-    def dense(cols, coeffs):
-        row = [f.zero] * n
-        for c, x in zip(cols, coeffs):
-            row[c] = x
-        return row
-
-    return MapSpace(a.dim, kernel(Matrix(f, (dense(c, x) for _, c, x in rows), cols=n)))
+    """The maps whose flattening every row annihilates, solved one
+    independent block of rows at a time."""
+    return MapSpace(a.dim, sparse_kernel(a.field, a.dim**2, ((c, x) for _, c, x in rows)))
 
 
 @_memo

@@ -4,7 +4,10 @@ The rank routine uses fraction-free elimination on numpy arrays (no modular
 inverses, no Gauss-Jordan); the structure tensors for matrix algebras are
 rebuilt from numpy matrix products rather than the library's constructors.
 The properness references decide one map at a time through the library's
-per-map entry points, independently of the subspace path they check.
+per-map entry points, independently of the subspace path they check.  The
+elimination references are the library's earlier single-pass forms: the
+Gauss-Jordan loop that scans the pivot row's whole tail, and the oracle's
+solve of every row at once as one dense matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from gmalie.gma import center_analysis
+from gmalie.linalg import Matrix, Subspace, kernel
 from gmalie.presentation import extract_lie
 from gmalie.spaces import is_proper, lie_derivation_space
 
@@ -47,6 +51,96 @@ def modp_rank(rows, p) -> int:
     return rank
 
 
+def reference_rref_mod_p(data, p):
+    """Gauss-Jordan over GF(p) that reads the pivot row's entries column by
+    column for every row it clears; same contract as ``_kernel.rref_mod_p``."""
+    rows = [list(r) for r in data]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = -1
+        for i in range(r, nr):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        if pv != 1:
+            inv = pow(pv, -1, p)
+            for j in range(c, nc):
+                if prow[j]:
+                    prow[j] = prow[j] * inv % p
+        for i in range(nr):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                ri = rows[i]
+                for j in range(c, nc):
+                    pj = prow[j]
+                    if pj:
+                        ri[j] = (ri[j] - f * pj) % p
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows, pivots
+
+
+def reference_solutions(field, n, rows) -> Subspace:
+    """Kernel of sparse (columns, coefficients) rows over F^n, solved as one
+    dense len(rows) x n matrix."""
+    if not rows:
+        return Subspace.full(field, n)
+
+    def dense(cols, coeffs):
+        row = [field.zero] * n
+        for c, x in zip(cols, coeffs):
+            row[c] = x
+        return row
+
+    return kernel(Matrix(field, (dense(c, x) for c, x in rows), cols=n))
+
+
+def _inverse_mod(m, p):
+    n = len(m)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c] % p), None)
+        if pivot is None:
+            return None
+        a[c], a[pivot] = a[pivot], a[c]
+        inv = pow(int(a[c][c]), -1, p)
+        a[c] = [x * inv % p for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return [r[n:] for r in a]
+
+
+def random_basis_tensor(tensor, unit, p, rng: random.Random):
+    """Structure tensor and unit of the same algebra over GF(p) in the basis
+    of a random invertible matrix's columns, by numpy einsum."""
+    d = len(tensor)
+    while True:
+        change = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        back = _inverse_mod(change, p)
+        if back is not None:
+            break
+    t = np.array(tensor, dtype=np.int64)
+    P, Q = np.array(change, dtype=np.int64), np.array(back, dtype=np.int64)
+    products = np.einsum("ai,bj,abk->ijk", P, P, t) % p
+    new = np.einsum("ck,ijk->ijc", Q, products) % p
+    return new.tolist(), (Q @ np.array(unit, dtype=np.int64) % p).tolist()
+
+
 def matrix_unit_tensor(n, p):
     """Structure tensor of the n x n matrix algebra over GF(p), computed by
     multiplying numpy matrix units."""
@@ -63,6 +157,15 @@ def matrix_unit_tensor(n, p):
             prod = (units[i] @ units[j]) % p
             tensor[i, j] = prod.reshape(d)
     return tensor
+
+
+def associativity_failures(tensor, p) -> list:
+    """Every (i, j, k), in lexicographic order, where (e_i e_j) e_k and
+    e_i (e_j e_k) differ over GF(p), from two einsums over the whole tensor."""
+    t = np.array(tensor, dtype=np.int64) % p
+    left = np.einsum("ijm,mkn->ijkn", t, t) % p
+    right = np.einsum("jkm,imn->ijkn", t, t) % p
+    return [tuple(int(x) for x in idx) for idx in np.argwhere((left != right).any(axis=3))]
 
 
 def derivation_nullity(tensor, p) -> int:

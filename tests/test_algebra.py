@@ -35,7 +35,7 @@ from gmalie.fields import GF, QQ
 from gmalie.linalg import Subspace
 from gmalie.tristate import TriState
 
-from helpers import center_size_brute, idempotent_count_brute
+from helpers import associativity_failures, center_size_brute, idempotent_count_brute
 
 
 def test_unit_law():
@@ -108,6 +108,21 @@ def test_nonassociative_tensor_rejected_with_triple():
     tensor[1][2][0] = 2  # corrupt e12 * e21
     violations = structure_violations(GF(3), 4, tensor, a.unit)
     assert any(v.law == "associativity" and len(v.where) == 3 for v in violations)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_associativity_violations_in_order_and_capped(seed):
+    rng = random.Random(seed)
+    f = GF(5) if seed % 2 else GF(3)
+    a = matrix_algebra(f, 2) if seed < 3 else upper_triangular_algebra(f, 3)
+    tensor = [[list(row) for row in plane] for plane in a.structure]
+    for _ in range(rng.randint(1, 3)):
+        i, j, k = (rng.randrange(a.dim) for _ in range(3))
+        tensor[i][j][k] = (tensor[i][j][k] + rng.randrange(1, f.p)) % f.p
+    found = structure_violations(f, a.dim, tensor, a.unit, cap=10**6)
+    triples = [v.where for v in found if v.law == "associativity"]
+    assert triples == associativity_failures(tensor, f.p)
+    assert structure_violations(f, a.dim, tensor, a.unit) == found[:8]
 
 
 def test_center_of_commutative_is_everything():

@@ -12,7 +12,7 @@ import pytest
 
 from gmalie import _kernel, kernel_backend
 
-from helpers import modp_rank, random_int_matrix
+from helpers import modp_rank, random_int_matrix, reference_rref_mod_p
 
 PRIMES = [2, 3, 5, 97, 32749, 2**31 - 1]
 SHAPES = [(1, 1), (3, 3), (4, 7), (7, 4), (12, 5), (20, 20)]
@@ -88,3 +88,26 @@ def test_reduced_form_properties():
 def test_empty_inputs():
     assert _kernel.rref_mod_p([], 3) == ([], [])
     assert _kernel.rref_mod_p([[], []], 3) == ([[], []], [])
+
+
+def _sparse_rows(rng, rows, cols, p, density):
+    return [
+        [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_support_loop_matches_the_dense_loop(p):
+    # rows far outnumber columns, as in the Leibniz systems, and the pivot
+    # rows are sparse; dependent rows come from combinations of a few
+    rng = random.Random(p + 2)
+    for rows, cols, density in ((60, 6, 0.3), (200, 12, 0.15), (120, 20, 0.05), (30, 30, 0.5)):
+        data = _sparse_rows(rng, rows, cols, p, density)
+        assert _kernel.rref_mod_p(data, p) == reference_rref_mod_p(data, p)
+        few = _sparse_rows(rng, 3, cols, p, density)
+        mixed = [
+            [sum(rng.randrange(p) * r[j] for r in few) % p for j in range(cols)]
+            for _ in range(rows)
+        ]
+        assert _kernel.rref_mod_p(mixed, p) == reference_rref_mod_p(mixed, p)
