@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, ValidationFailure, Violation
 from .fields import Field
@@ -262,6 +263,119 @@ def _bracket_tensor(a: FDAlgebra):
         )
         for i in range(a.dim)
     )
+
+
+class TensorTerms(NamedTuple):
+    """The nonzero entries of a product tensor t, with e_i e_j = sum_k
+    t[i][j][k] e_k, listed three ways, each list in increasing index order:
+    ``out[i][j]`` holds the (k, s) with s = t[i][j][k], ``left[j][k]`` the
+    (p, s) with s = t[p][j][k], and ``right[i][k]`` the (q, s) with
+    s = t[i][q][k]."""
+
+    out: tuple
+    left: tuple
+    right: tuple
+
+
+def _tensor_terms(f: Field, d: int, tensor) -> TensorTerms:
+    z = f.zero
+    out = tuple(
+        tuple(tuple((k, s) for k, s in enumerate(row) if s != z) for row in plane)
+        for plane in tensor
+    )
+    left = [[[] for _ in range(d)] for _ in range(d)]
+    right = [[[] for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k, s in out[i][j]:
+                left[j][k].append((i, s))
+                right[i][k].append((j, s))
+
+    def freeze(lists):
+        return tuple(tuple(tuple(terms) for terms in plane) for plane in lists)
+
+    return TensorTerms(out, freeze(left), freeze(right))
+
+
+@_memo
+def _product_terms(a: FDAlgebra) -> TensorTerms:
+    return _tensor_terms(a.field, a.dim, a.structure)
+
+
+@_memo
+def _bracket_terms(a: FDAlgebra) -> TensorTerms:
+    return _tensor_terms(a.field, a.dim, _bracket_tensor(a))
+
+
+def _greedy_generators(f: Field, d: int, out) -> tuple:
+    """Basis indices, in increasing order, whose basis vectors generate F^d
+    under the products ``out`` (a ``TensorTerms.out``).
+
+    Index i joins when e_i is outside the span W of what the earlier
+    members generate; W is kept closed under x -> e_s x for every member s
+    by a worklist of (member, vector) pairs, so W is spanned by the words
+    of length >= 1 in the members.  No unit is adjoined.
+    """
+    z, one = f.zero, f.one
+    add, sub, mul = f.add, f.sub, f.mul
+    echelon = {}  # pivot -> sparse vector (dict) with a 1 at the pivot
+    members, work = [], []
+
+    def reduce(v: dict) -> dict:
+        for c in sorted(echelon):
+            x = v.get(c)
+            if x is not None:
+                for t, b in echelon[c].items():
+                    y = sub(v.get(t, z), mul(x, b))
+                    if y != z:
+                        v[t] = y
+                    else:
+                        del v[t]
+        return v
+
+    def store(v: dict):
+        c = min(v)
+        inv = f.inv(v[c])
+        v = {t: mul(inv, x) for t, x in v.items()}
+        echelon[c] = v
+        work.extend((s, v) for s in members)
+
+    def times(s, v: dict) -> dict:
+        acc = {}
+        for m, x in v.items():
+            for k, t in out[s][m]:
+                acc[k] = add(acc[k], mul(x, t)) if k in acc else mul(x, t)
+        return {k: x for k, x in acc.items() if x != z}
+
+    for i in range(d):
+        if len(echelon) == d:
+            break
+        v = reduce({i: one})
+        if not v:
+            continue
+        members.append(i)
+        work.extend((i, w) for w in echelon.values())
+        store(v)
+        while work and len(echelon) < d:
+            s, w = work.pop()
+            v = reduce(times(s, w))
+            if v:
+                store(v)
+    return tuple(members)
+
+
+@_memo
+def _generators(a: FDAlgebra) -> tuple:
+    """A generating set S of the algebra, without its unit: the derivations
+    are fixed by the product rule on the pairs (s, j), s in S."""
+    return _greedy_generators(a.field, a.dim, _product_terms(a).out)
+
+
+@_memo
+def _lie_generators(a: FDAlgebra) -> tuple:
+    """A generating set of the algebra's Lie algebra: iterated brackets of
+    its members span the algebra, and its centralizer is the center."""
+    return _greedy_generators(a.field, a.dim, _bracket_terms(a).out)
 
 
 @_memo

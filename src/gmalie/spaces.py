@@ -13,7 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FDAlgebra, _bracket_tensor, _memo, commutator_span
+from .algebra import (
+    FDAlgebra,
+    TensorTerms,
+    _bracket_terms,
+    _generators,
+    _lie_generators,
+    _memo,
+    _product_terms,
+    commutator_span,
+)
 from .errors import CharacteristicTwoError, DimensionMismatch, PreconditionError
 from .gma import GMAlgebra
 from .linalg import Matrix, Subspace, solve, sparse_kernel, subspace_sum
@@ -111,10 +120,12 @@ def _require_odd(a: FDAlgebra):
 
 # -- rules as tagged rows -------------------------------------------------------
 #
-# Each rule is one memoized tuple of sparse rows (tag, columns, coefficients)
-# over the flattened map: a map obeys the rule iff every row has a zero
-# product with its flattening.  The tag is shared by the rows of one basis
-# pair (product and bracket rules) or one value or commutator (central rule).
+# Each rule is a tuple of sparse rows (tag, columns, coefficients) over the
+# flattened map: a map obeys the rule iff every row has a zero product with
+# its flattening.  The tag is shared by the rows of one basis pair (product
+# and bracket rules) or one value or commutator (central rule).  The
+# pointwise checks read every row of a rule, memoized; the spaces solve only
+# the rows of a generating set (see below).
 
 
 def _add_row(rows: list, f, tag, terms):
@@ -128,51 +139,77 @@ def _add_row(rows: list, f, tag, terms):
         rows.append((tag, cols, tuple(row[c] for c in cols)))
 
 
-def _leibniz_rows(a: FDAlgebra, tensor, pairs) -> tuple:
-    """T(x_i x_j) = T(x_i) x_j + x_i T(x_j) over the given product tensor:
-    one row per output coordinate k, tagged (i, j)."""
-    f, d, z, neg = a.field, a.dim, a.field.zero, a.field.neg
+def _leibniz_rows(a: FDAlgebra, terms: TensorTerms, pairs) -> tuple:
+    """T(x_i x_j) = T(x_i) x_j + x_i T(x_j) over the product whose nonzero
+    terms are ``terms``: one row per output coordinate k, tagged (i, j)."""
+    f, d, neg = a.field, a.dim, a.field.neg
+    # -T_{p i} t[p][j][k] and -T_{q j} t[i][q][k], as (p*d, -s) and (q*d, -s)
+    left = [[[(p * d, neg(s)) for p, s in col] for col in plane] for plane in terms.left]
+    right = [[[(q * d, neg(s)) for q, s in col] for col in plane] for plane in terms.right]
     rows = []
     for i, j in pairs:
         tag = (i, j)
+        product, by_left, by_right = terms.out[i][j], left[j], right[i]
         for k in range(d):
-            terms = [(k * d + l, s) for l, s in enumerate(tensor[i][j]) if s != z]
-            terms += [(p * d + i, neg(s)) for p in range(d) if (s := tensor[p][j][k]) != z]
-            terms += [(q * d + j, neg(s)) for q in range(d) if (s := tensor[i][q][k]) != z]
-            _add_row(rows, f, tag, terms)
+            row = [(k * d + l, s) for l, s in product]
+            row += [(pd + i, s) for pd, s in by_left[k]]
+            row += [(qd + j, s) for qd, s in by_right[k]]
+            _add_row(rows, f, tag, row)
     return tuple(rows)
 
 
-@_memo
-def _product_rows(a: FDAlgebra) -> tuple:
-    return _leibniz_rows(a, a.structure, [(i, j) for i in range(a.dim) for j in range(a.dim)])
+def _product_system(a: FDAlgebra, members) -> tuple:
+    """Product-rule rows of the pairs (s, j), s in ``members``, all j."""
+    pairs = [(s, j) for s in members for j in range(a.dim)]
+    return _leibniz_rows(a, _product_terms(a), pairs)
 
 
-@_memo
-def _bracket_rows(a: FDAlgebra) -> tuple:
-    pairs = [(i, j) for i in range(a.dim) for j in range(i + 1, a.dim)]
-    return _leibniz_rows(a, _bracket_tensor(a), pairs)
+def _bracket_system(a: FDAlgebra, members) -> tuple:
+    """Bracket-rule rows of the pairs i < j with i or j in ``members``; the
+    pair (j, i) gives the negated rows, and (i, i) none."""
+    members = set(members)
+    pairs = [
+        (i, j)
+        for i in range(a.dim)
+        for j in range(i + 1, a.dim)
+        if i in members or j in members
+    ]
+    return _leibniz_rows(a, _bracket_terms(a), pairs)
 
 
-@_memo
-def _central_rows(a: FDAlgebra) -> tuple:
-    """Every value central, [e_i, T(e_s)] = 0, tagged ("value", s); then every
+def _central_system(a: FDAlgebra, members) -> tuple:
+    """Every value commuting with the basis vectors of ``members``,
+    [e_i, T(e_s)] = 0 for i in ``members``, tagged ("value", s); then every
     commutator killed, T(w) = 0, tagged ("commutator", r) for the r-th basis
     vector w of the commutator span."""
     f, d, z = a.field, a.dim, a.field.zero
-    bracket = _bracket_tensor(a)
+    right = _bracket_terms(a).right
     rows = []
     for s in range(d):
         tag = ("value", s)
-        for i in range(d):
+        for i in members:
             for k in range(d):
-                terms = [(m * d + s, c) for m in range(d) if (c := bracket[i][m][k]) != z]
-                _add_row(rows, f, tag, terms)
+                _add_row(rows, f, tag, [(m * d + s, c) for m, c in right[i][k]])
     for r, w in enumerate(commutator_span(a).basis.entries):
         tag = ("commutator", r)
         for k in range(d):
             _add_row(rows, f, tag, [(k * d + s, ws) for s, ws in enumerate(w) if ws != z])
     return tuple(rows)
+
+
+@_memo
+def _product_rows(a: FDAlgebra) -> tuple:
+    return _product_system(a, range(a.dim))
+
+
+@_memo
+def _bracket_rows(a: FDAlgebra) -> tuple:
+    return _bracket_system(a, range(a.dim))
+
+
+@_memo
+def _central_rows(a: FDAlgebra) -> tuple:
+    return _central_system(a, range(a.dim))
 
 
 def _solutions(a: FDAlgebra, rows) -> MapSpace:
@@ -181,20 +218,27 @@ def _solutions(a: FDAlgebra, rows) -> MapSpace:
     return MapSpace(a.dim, sparse_kernel(a.field, a.dim**2, ((c, x) for _, c, x in rows)))
 
 
+# The spaces solve only the rows of a generating set.  The x that obey the
+# product rule against every y form a subalgebra, and for the bracket rule a
+# Lie subalgebra (Jacobi); the centralizer of a Lie generating set is the
+# center.  So pairs (s, j) with s in S, pairs i < j meeting S_Lie, and values
+# commuting with S_Lie cut out the same spaces as every row of the rule.
+
+
 @_memo
 def _derivation_space(a: FDAlgebra) -> MapSpace:
-    return _solutions(a, _product_rows(a))
+    return _solutions(a, _product_system(a, _generators(a)))
 
 
 @_memo
 def _lie_derivation_space(a: FDAlgebra) -> MapSpace:
-    return _solutions(a, _bracket_rows(a))
+    return _solutions(a, _bracket_system(a, _lie_generators(a)))
 
 
 @_memo
 def _central_map_space(a: FDAlgebra) -> MapSpace:
     """Maps with all values central that kill every commutator."""
-    return _solutions(a, _central_rows(a))
+    return _solutions(a, _central_system(a, _lie_generators(a)))
 
 
 def derivation_space(g) -> MapSpace:

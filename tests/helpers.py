@@ -7,7 +7,8 @@ The properness references decide one map at a time through the library's
 per-map entry points, independently of the subspace path they check.  The
 elimination references are the library's earlier single-pass forms: the
 Gauss-Jordan loop that scans the pivot row's whole tail, and the oracle's
-solve of every row at once as one dense matrix.
+solve of every row at once as one dense matrix; the row references are its
+earlier row builders, which scan every tensor entry.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from gmalie.algebra import commutator_span
 from gmalie.gma import center_analysis
 from gmalie.linalg import Matrix, Subspace, kernel
 from gmalie.presentation import extract_lie
@@ -125,20 +127,31 @@ def _inverse_mod(m, p):
     return [r[n:] for r in a]
 
 
-def random_basis_tensor(tensor, unit, p, rng: random.Random):
-    """Structure tensor and unit of the same algebra over GF(p) in the basis
-    of a random invertible matrix's columns, by numpy einsum."""
-    d = len(tensor)
+def random_change_of_basis(d, p, rng: random.Random):
+    """A random invertible d x d matrix P over GF(p) and its inverse Q, as
+    lists of rows; the new basis vectors are the columns of P."""
     while True:
         change = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
         back = _inverse_mod(change, p)
         if back is not None:
-            break
+            return change, back
+
+
+def change_basis(tensor, unit, P, Q, p):
+    """Structure tensor and unit in the basis of P's columns, by numpy
+    einsum; Q is the inverse of P."""
     t = np.array(tensor, dtype=np.int64)
-    P, Q = np.array(change, dtype=np.int64), np.array(back, dtype=np.int64)
+    P, Q = np.array(P, dtype=np.int64), np.array(Q, dtype=np.int64)
     products = np.einsum("ai,bj,abk->ijk", P, P, t) % p
     new = np.einsum("ck,ijk->ijc", Q, products) % p
     return new.tolist(), (Q @ np.array(unit, dtype=np.int64) % p).tolist()
+
+
+def random_basis_tensor(tensor, unit, p, rng: random.Random):
+    """Structure tensor and unit of the same algebra over GF(p) in the basis
+    of a random invertible matrix's columns."""
+    P, Q = random_change_of_basis(len(tensor), p, rng)
+    return change_basis(tensor, unit, P, Q, p)
 
 
 def matrix_unit_tensor(n, p):
@@ -259,6 +272,68 @@ def reference_central_commutator_free(a, endo):
     if any(a.bracket(e, v) != zero for e in basis for v in values):
         return False
     return all(endo.apply(a.bracket(x, y)) == zero for x in basis for y in basis)
+
+
+# -- the rules' rows by scanning the whole tensor ------------------------------------
+# The library's earlier row builders: every row scans all d entries of the
+# tensor for its nonzero terms.  The bracket tensor is rebuilt from a.bracket.
+
+
+def _append_row(rows, f, tag, terms):
+    row = {}
+    for c, x in terms:
+        row[c] = f.add(row[c], x) if c in row else x
+    cols = tuple(c for c, x in row.items() if x != f.zero)
+    if cols:
+        rows.append((tag, cols, tuple(row[c] for c in cols)))
+
+
+def _scanned_leibniz_rows(a, tensor, pairs):
+    f, d, z, neg = a.field, a.dim, a.field.zero, a.field.neg
+    rows = []
+    for i, j in pairs:
+        for k in range(d):
+            terms = [(k * d + l, s) for l, s in enumerate(tensor[i][j]) if s != z]
+            terms += [(p * d + i, neg(s)) for p in range(d) if (s := tensor[p][j][k]) != z]
+            terms += [(q * d + j, neg(s)) for q in range(d) if (s := tensor[i][q][k]) != z]
+            _append_row(rows, f, (i, j), terms)
+    return tuple(rows)
+
+
+def reference_rule_rows(a):
+    """(product, bracket, central) rows of every basis pair, value and
+    commutator, in the library's tag order."""
+    f, d, z = a.field, a.dim, a.field.zero
+    basis = [a.basis_vector(i) for i in range(d)]
+    bracket = [[a.bracket(x, y) for y in basis] for x in basis]
+    product = _scanned_leibniz_rows(a, a.structure, [(i, j) for i in range(d) for j in range(d)])
+    lie = _scanned_leibniz_rows(a, bracket, [(i, j) for i in range(d) for j in range(i + 1, d)])
+    central = []
+    for s in range(d):
+        for i in range(d):
+            for k in range(d):
+                terms = [(m * d + s, c) for m in range(d) if (c := bracket[i][m][k]) != z]
+                _append_row(central, f, ("value", s), terms)
+    for r, w in enumerate(commutator_span(a).basis.entries):
+        for k in range(d):
+            terms = [(k * d + s, ws) for s, ws in enumerate(w) if ws != z]
+            _append_row(central, f, ("commutator", r), terms)
+    return product, lie, tuple(central)
+
+
+def closure(a, members, op) -> Subspace:
+    """Span of the basis vectors ``members`` grown by span + op(span, span)
+    until it stops growing: for ``a.multiply`` the words of length >= 1 in
+    the members, for ``a.bracket`` their iterated brackets."""
+    span = Subspace(a.field, a.dim, [a.basis_vector(i) for i in members])
+    while True:
+        vectors = span.basis.entries
+        grown = Subspace(
+            a.field, a.dim, list(vectors) + [op(x, y) for x in vectors for y in vectors]
+        )
+        if grown.dim == span.dim:
+            return span
+        span = grown
 
 
 # -- the properness criteria, one map at a time -----------------------------------

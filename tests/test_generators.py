@@ -1,0 +1,199 @@
+"""Generator-reduced constraint systems against every row of each rule.
+
+The derivation, Lie-derivation and central-map spaces are solved from the
+rows of a generating set only (``algebra._generators`` and
+``_lie_generators``); ``helpers.reference_solutions`` solves all rows of the
+rule at once.  Both must give the same canonical basis.  The generating sets
+themselves are checked by an independent closure, and the full rows against
+the earlier builders that scan the whole tensor.
+"""
+
+import random
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gmalie.algebra import FDAlgebra, _generators, _lie_generators
+from gmalie.catalog import EXAMPLE_NAMES, load_example
+from gmalie.constructions import (
+    matrix_algebra,
+    split_pair_algebra,
+    truncated_polynomial_algebra,
+    two_nilpotents_algebra,
+    upper_triangular_algebra,
+)
+from gmalie.fields import GF, QQ
+from gmalie.fuzzing import FuzzConfig, generate_contexts
+from gmalie.gma import assemble
+from gmalie.linalg import Matrix
+from gmalie.spaces import (
+    EndoMap,
+    _bracket_rows,
+    _bracket_system,
+    _central_map_space,
+    _central_rows,
+    _central_system,
+    _derivation_space,
+    _lie_derivation_space,
+    _product_rows,
+    _product_system,
+    _solutions,
+    derivation_defect,
+)
+
+from helpers import closure, random_basis_tensor, reference_rule_rows, reference_solutions
+
+SYSTEMS = (
+    (_derivation_space, _product_rows, lambda a: _product_system(a, _generators(a))),
+    (_lie_derivation_space, _bracket_rows, lambda a: _bracket_system(a, _lie_generators(a))),
+    (_central_map_space, _central_rows, lambda a: _central_system(a, _lie_generators(a))),
+)
+
+
+def _assert_reduced_solves_match(a):
+    for space, rows, _ in SYSTEMS:
+        expected = reference_solutions(a.field, a.dim**2, [(c, x) for _, c, x in rows(a)])
+        assert space(a).space == expected, space.__name__
+
+
+def _assert_generating_sets(a):
+    """Words in S and iterated brackets of S_Lie span F^d, and each set is
+    the greedy one: index i is a member iff e_i lies outside what the
+    members before it generate."""
+    for members, op in ((_generators(a), a.multiply), (_lie_generators(a), a.bracket)):
+        assert closure(a, members, op).dim == a.dim
+        for i in range(a.dim):
+            earlier = closure(a, [s for s in members if s < i], op)
+            assert (i in members) != earlier.contains_vector(a.basis_vector(i)), i
+
+
+@lru_cache(maxsize=None)
+def _fuzz_algebras(field):
+    seen = {}
+    for _, ctx in generate_contexts(FuzzConfig(seed=2, count=20, field=field)):
+        a = assemble(ctx).algebra
+        seen.setdefault(a, None)
+    return tuple(seen)
+
+
+def _example(name):
+    ws = load_example(name)
+    return ws.assembled(ws.sole_context_name()).algebra
+
+
+def _twin(make, n, p, seed):
+    a = make(GF(p), n)
+    tensor, unit = random_basis_tensor(a.structure, a.unit, p, random.Random(seed))
+    return FDAlgebra(GF(p), a.dim, tensor, unit)
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_examples(name):
+    a = _example(name)
+    _assert_reduced_solves_match(a)
+    _assert_generating_sets(a)
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
+def test_fuzz_slice(field):
+    for a in _fuzz_algebras(field):
+        _assert_reduced_solves_match(a)
+        _assert_generating_sets(a)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
+@pytest.mark.parametrize("make, n", [(matrix_algebra, 3), (upper_triangular_algebra, 4)])
+def test_matrix_unit_bases(field, make, n):
+    a = make(field, n)
+    _assert_reduced_solves_match(a)
+    _assert_generating_sets(a)
+
+
+def _assert_reduced_solves_obey_full_rows(a):
+    """The same equality as ``_assert_reduced_solves_match`` without a
+    dense elimination of all rows: the reduced rows are full rows, so the
+    full kernel lies in the reduced one, and every reduced basis vector is
+    annihilated by every full row (numpy products mod p)."""
+    p, n = a.field.p, a.dim**2
+    for space, rows, reduced in SYSTEMS:
+        full = rows(a)
+        assert set(reduced(a)) <= set(full)
+        dense = np.zeros((len(full), n), dtype=np.int64)
+        for r, (_, cols, coeffs) in enumerate(full):
+            dense[r, list(cols)] = coeffs
+        basis = np.array(space(a).space.basis.entries, dtype=np.int64).reshape(-1, n)
+        assert not (dense @ basis.T % p).any(), space.__name__
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize(
+    "make, n", [(matrix_algebra, 3), (upper_triangular_algebra, 4), (upper_triangular_algebra, 5)]
+)
+def test_random_basis_twins(make, n, p):
+    a = _twin(make, n, p, seed=n * p)
+    # a random basis needs few generators: the rows shrink, not only split
+    assert len(_generators(a)) < a.dim // 2
+    _assert_reduced_solves_obey_full_rows(a)
+    if n < 5:  # T_5's 3375 x 225 full systems take seconds to eliminate
+        _assert_reduced_solves_match(a)
+    assert closure(a, _generators(a), a.multiply).dim == a.dim
+    assert closure(a, _lie_generators(a), a.bracket).dim == a.dim
+
+
+SMALL = (
+    (matrix_algebra, 2),
+    (upper_triangular_algebra, 3),
+    (truncated_polynomial_algebra, 3),
+    (lambda f, _: two_nilpotents_algebra(f), 3),
+    (lambda f, _: split_pair_algebra(f), 2),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL), st.sampled_from([3, 5]), st.integers(0, 2**32))
+def test_hypothesis_random_bases(small, p, seed):
+    make, n = small
+    a = _twin(make, n, p, seed)
+    _assert_reduced_solves_match(a)
+    _assert_generating_sets(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [_example(name) for name in EXAMPLE_NAMES]
+    + list(_fuzz_algebras(GF(3)))
+    + list(_fuzz_algebras(QQ))
+    + [_twin(matrix_algebra, 3, 3, seed=1)],
+    ids=lambda a: f"{a.field!r}-d{a.dim}",
+)
+def test_full_rows_match_the_scanning_builders(a):
+    assert (_product_rows(a), _bracket_rows(a), _central_rows(a)) == reference_rule_rows(a)
+
+
+def test_no_unit_is_adjoined():
+    # in F x F the unit e1 + e2 and e1 generate everything; e1 alone does not
+    a = split_pair_algebra(GF(3))
+    assert _generators(a) == (0, 1)
+    # T(e1) = 0, T(e2) = e2 obeys every product row of the pairs (e1, e_j)
+    # but is no derivation: T(e2 e2) = e2 differs from 2 e2
+    endo = EndoMap(Matrix(a.field, [[0, 0], [0, 1]], cols=2))
+    assert _solutions(a, _product_system(a, (0,))).contains(endo)
+    assert not _derivation_space(a).contains(endo)
+    assert derivation_defect(a, endo) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        split_pair_algebra(GF(5)),
+        truncated_polynomial_algebra(GF(3), 4),
+        two_nilpotents_algebra(QQ),
+        matrix_algebra(GF(3), 1),
+    ],
+    ids=lambda a: f"{a.field!r}-d{a.dim}",
+)
+def test_commutative_algebras_need_every_basis_vector_as_lie_generator(a):
+    assert _lie_generators(a) == tuple(range(a.dim))
+    _assert_reduced_solves_match(a)
