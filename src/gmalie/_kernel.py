@@ -2,19 +2,76 @@
 
 Every GF(p) elimination in the package goes through :func:`rref_mod_p`:
 leftmost pivot column, first nonzero row, pivots normalized to 1, full
-clearing above and below.  It is plain Python on ints, so it holds for any
-modulus the field accepts.
+clearing above and below.  The reduced row echelon form is unique, so the
+two paths below return the same rows and pivots, bit for bit.  Input rows
+must be canonical, every entry in ``[0, p)``: the packed path relies on it
+for its slot bound.
+
+**Support-list loop** (:func:`_rref_support`).  Rows are lists of ints; a
+pivot row's nonzeros are listed once, and each row it clears is updated on
+that list only.  Cheap when rows stay sparse, and it holds for any modulus
+the field accepts.
+
+**Packed path** (:func:`_rref_packed`).  Each row is one Python int with
+b-bit slots, column c in bits ``[b*c, b*(c+1))``, after Dumas, Fousse and
+Salvy, *Simultaneous modular reduction and Kronecker substitution for small
+finite fields*, J. Symbolic Comput. 46 (2011).  Clearing column c of a row
+with entry f is one bigint addition, ``row + (p - f) * pivot_row``: no
+borrow and no per-entry loop.  Slots are reduced mod p only when a row
+becomes the pivot row (and is normalized) and once at the end, so a slot
+holds at most ``(p - 1) + nc * (p - 1)**2``: its entry, plus one product
+per pivot.  The narrowest b in {16, 32, 64} above that bound is used, so
+packing and unpacking run in C through ``struct`` and ``int.from_bytes``;
+when no width fits (p = 2**31 - 1 beyond four columns, say) the loop runs.
+
+**Dispatch** (:func:`_packed_width`).  The packed path pays a shift and a
+reduction per row for every pivot, whatever the row holds, and a bigint
+update per row it clears; the loop pays per nonzero of the pivot row.  So
+the packed path wins once rows fill in, and loses on small systems, on
+sparse ones that stay sparse, and on wide ones, where each column without
+a pivot costs a shift of every remaining row.  It runs when a system has at
+least ``_PACKED_MIN_CELLS`` cells, at most ``_PACKED_MAX_COLS_PER_ROW``
+columns per row, at least ``_PACKED_MIN_PERCENT`` percent nonzeros and at
+least ``_PACKED_MIN_ROW_NONZEROS`` nonzeros per row on average.  The
+thresholds come from a sweep of rows x columns x density x p on random
+systems, and from every system the three benchmark workloads eliminate,
+timed on both paths (``BENCH_packed_kernel.json``):
+- the rule sends 359 of 1176 random systems (up to 512 x 256) to the
+  packed path, a median 4.2x faster; 8 of them, 16-row systems at 10-15%
+  nonzeros, ran up to 2.3x slower;
+- random systems at 6-10% nonzeros fill in and ran faster packed, but
+  the sparse systems the oracle builds at such densities (1500 x 225 at
+  4.0%, 352 x 64 at 8.1%) do not, and the loop won 2.0-2.7x on them:
+  hence the density floors;
+- rank-deficient systems of more than 16 columns per row lost on the
+  packed path in 15 of 20 cases, up to 7.5x (4 x 4096);
+- in one `oracle` cycle 19 of 3470 systems take the packed path, and the
+  kernel time goes 1304 -> 299 ms; no `fuzz` or `cli` system of seeds
+  1-3 reaches 1520 cells (the largest has 1088), so all stay on the loop.
 """
 
 from __future__ import annotations
+
+import struct
+
+# slot widths of the packed path, with the struct codes that pack them
+_WIDTHS = ((16, "H"), (32, "I"), (64, "Q"))
+
+# measured dispatch thresholds; see the module docstring.  Cell floors from
+# 1100 to 2000 scored the same; 1520 sits between 1519 = 49 x 31 and
+# 1521 = 39 x 39, so systems on both sides of it pass every other test
+_PACKED_MIN_CELLS = 1520
+_PACKED_MAX_COLS_PER_ROW = 16
+_PACKED_MIN_PERCENT = 10
+_PACKED_MIN_ROW_NONZEROS = 8
 
 
 def backend() -> str:
     """Name of the elimination kernel, always ``"pure"``.
 
-    Kept as a stable identity: benchmark results record this value in their
-    environment fingerprint and refuse to compare runs whose fingerprints
-    differ.
+    Both paths are plain Python.  Kept as a stable identity: benchmark
+    results record this value in their environment fingerprint and refuse
+    to compare runs whose fingerprints differ.
     """
     return "pure"
 
@@ -25,6 +82,38 @@ def rref_mod_p(data, p):
     ``data`` is a sequence of equal-length rows of ints in ``[0, p)``.
     Returns ``(rows, pivot_cols)`` where ``rows`` is a fresh list of lists.
     """
+    width = _packed_width(data, p)
+    if width is None:
+        return _rref_support(data, p)
+    return _rref_packed(data, p, *width)
+
+
+def _slot_width(p, nc):
+    """``(bits, struct code)`` of the narrowest slot that holds
+    ``(p - 1) + nc * (p - 1)**2``, or None when 64 bits do not."""
+    top = (p - 1) + nc * (p - 1) ** 2
+    for bits, code in _WIDTHS:
+        if top < 1 << bits:
+            return bits, code
+    return None
+
+
+def _packed_width(data, p):
+    """The slot width the packed path would use on ``data``, or None when
+    the support-list loop runs."""
+    nr = len(data)
+    nc = len(data[0]) if nr else 0
+    cells = nr * nc
+    if cells < _PACKED_MIN_CELLS or nc > _PACKED_MAX_COLS_PER_ROW * nr:
+        return None
+    nonzero = cells - sum(row.count(0) for row in data)
+    if 100 * nonzero < _PACKED_MIN_PERCENT * cells or nonzero < _PACKED_MIN_ROW_NONZEROS * nr:
+        return None
+    return _slot_width(p, nc)
+
+
+def _rref_support(data, p):
+    """Gauss-Jordan on lists, each row updated on the pivot row's support."""
     rows = [list(r) for r in data]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -62,3 +151,50 @@ def rref_mod_p(data, p):
         if r == nr:
             break
     return rows, pivots
+
+
+def _rref_packed(data, p, bits, code):
+    """Gauss-Jordan on rows packed into ints of ``bits``-bit slots."""
+    nr, nc = len(data), len(data[0])
+    layout = struct.Struct(f"<{nc}{code}")
+    size, pack, unpack = layout.size, layout.pack, layout.unpack
+    rows = [int.from_bytes(pack(*row), "little") for row in data]
+    mask = (1 << bits) - 1
+    pivots = []
+    r = 0
+    for c in range(nc):
+        shift = bits * c
+        for pr in range(r, nr):
+            if (rows[pr] >> shift & mask) % p:
+                break
+        else:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        # earlier columns of the pivot row are multiples of p, so reducing
+        # leaves it zero below slot c: clearing touches slots c and up only
+        vals = unpack(rows[r].to_bytes(size, "little"))
+        inv = pow(vals[c] % p, -1, p)
+        prow = int.from_bytes(pack(*[v * inv % p for v in vals]), "little")
+        # rows are updated in place: a second list of packed rows would
+        # raise the peak memory by their size
+        if p <= nr:
+            # the multiples (p - f) * prow, made once for every row to share
+            negs = [0, *[(p - f) * prow for f in range(1, p)]]
+            for i, x in enumerate(rows):
+                if f := (x >> shift & mask) % p:
+                    rows[i] = x + negs[f]
+        else:
+            for i, x in enumerate(rows):
+                if f := (x >> shift & mask) % p:
+                    rows[i] = x + (p - f) * prow
+        rows[r] = prow
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    # rows past the rank are zero mod p; only the pivot rows need unpacking
+    del rows[r:]
+    out = [[v % p for v in unpack(x.to_bytes(size, "little"))] for x in rows]
+    out.extend([0] * nc for _ in range(nr - r))
+    return out, pivots

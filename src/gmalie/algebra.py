@@ -197,25 +197,24 @@ def structure_violations(field, dim, structure, unit, cap=8):
     support = [
         [[(m, s) for m, s in enumerate(row) if s != z] for row in plane] for plane in structure
     ]
-    times_e = [[support[m][k] for m in range(dim)] for k in range(dim)]
-    add, mul = f.add, f.mul
-
-    def combine(terms, products):
-        """sum_(m, s) s * products[m], as a dict of its nonzero coordinates."""
-        acc = {}
-        for m, s in terms:
-            for n, t in products[m]:
-                st = mul(s, t)
-                acc[n] = add(acc[n], st) if n in acc else st
-        return {n: x for n, x in acc.items() if x != z}
-
+    # the difference of the two sides accumulates as plain scalars; over
+    # GF(p) each coordinate is reduced once, at the zero test
+    p = f.characteristic
     for i in range(dim):
+        row_i = support[i]
         for j in range(dim):
-            ij = support[i][j]
+            ij, row_j = row_i[j], support[j]
             for k in range(dim):
-                left = combine(ij, times_e[k])
-                right = combine(support[j][k], support[i])
-                if left != right:
+                acc = {}
+                for m, s in ij:
+                    for n, t in support[m][k]:
+                        st = s * t
+                        acc[n] = acc[n] + st if n in acc else st
+                for m, s in row_j[k]:
+                    for n, t in row_i[m]:
+                        st = s * t
+                        acc[n] = acc[n] - st if n in acc else -st
+                if any(x % p for x in acc.values()) if p else any(acc.values()):
                     bad.append(Violation("associativity", (i, j, k)))
                     if len(bad) >= cap:
                         return bad

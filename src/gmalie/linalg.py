@@ -329,13 +329,8 @@ def sparse_kernel(field, n: int, rows) -> "Subspace":
         cols = sorted({c for row_cols, _ in block for c in row_cols})
         touched.update(cols)
         local = {c: t for t, c in enumerate(cols)}
-        dense = []
-        for row_cols, coeffs in block:
-            row = [z] * len(cols)
-            for c, x in zip(row_cols, coeffs):
-                row[local[c]] = x
-            dense.append(row)
-        for v in kernel(Matrix(field, dense, cols=len(cols))).basis.entries:
+        dense = Matrix(field, _dense_rows(block, local, len(cols), z), cols=len(cols))
+        for v in kernel(dense).basis.entries:
             vec = [z] * n
             for c, x in zip(cols, v):
                 vec[c] = x
@@ -347,6 +342,17 @@ def sparse_kernel(field, n: int, rows) -> "Subspace":
             vectors.append(vec)
     vectors.sort(key=lambda vec: next(j for j, x in enumerate(vec) if x != z))
     return Subspace(field, n, vectors, _reduced=True)
+
+
+def _dense_rows(block, local, width, z):
+    """A block's sparse rows as dense lists over its own columns, made one
+    at a time: the matrix built from them is the only copy held during the
+    elimination."""
+    for row_cols, coeffs in block:
+        row = [z] * width
+        for c, x in zip(row_cols, coeffs):
+            row[local[c]] = x
+        yield row
 
 
 def solve(m: Matrix, vec):

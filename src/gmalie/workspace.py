@@ -73,13 +73,31 @@ class Workspace:
         return next(iter(self.contexts))
 
 
-def _expect(doc, key, kind, path):
+_REQUIRED = object()
+
+
+def _expect(doc, key, kind, path, default=_REQUIRED):
+    """``doc[key]`` checked to be a ``kind``; ``default`` when the key is
+    optional and absent."""
     if key not in doc:
-        raise ValidationFailure(f"{path}: missing required key {key!r}")
+        if default is _REQUIRED:
+            raise ValidationFailure(f"{path}: missing required key {key!r}")
+        return default
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, but true is never a dimension
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValidationFailure(f"{path}.{key}: expected {kind.__name__}")
     return value
+
+
+def _entries(doc, key, path, default=_REQUIRED):
+    """``(name, path, entry)`` for each named entry of section ``key``, every
+    entry checked to be an object."""
+    for name, entry in _expect(doc, key, dict, path, default).items():
+        entry_path = f"{path}.{key}.{name}"
+        if not isinstance(entry, dict):
+            raise ValidationFailure(f"{entry_path}: expected dict")
+        yield name, entry_path, entry
 
 
 def _parse_vector(field, data, path):
@@ -123,16 +141,15 @@ def parse_workspace(doc: dict, source: str = "<doc>") -> Workspace:
         raise ValidationFailure(f"{source}.field: {exc}") from exc
 
     algebras = {}
-    for name, entry in _expect(doc, "algebras", dict, source).items():
-        path = f"{source}.algebras.{name}"
+    for name, path, entry in _entries(doc, "algebras", source):
         dim = _expect(entry, "dim", int, path)
         structure = _parse_tensor(field, _expect(entry, "structure", list, path), f"{path}.structure")
         unit = _parse_vector(field, _expect(entry, "unit", list, path), f"{path}.unit")
         declared = tuple(
             _parse_vector(field, e, f"{path}.idempotents[{i}]")
-            for i, e in enumerate(entry.get("idempotents", []))
+            for i, e in enumerate(_expect(entry, "idempotents", list, path, []))
         )
-        complete = entry.get("idempotents_complete", False)
+        complete = _expect(entry, "idempotents_complete", bool, path, False)
         try:
             algebras[name] = FDAlgebra(
                 field,
@@ -140,7 +157,7 @@ def parse_workspace(doc: dict, source: str = "<doc>") -> Workspace:
                 structure,
                 unit,
                 declared_idempotents=declared,
-                idempotents_complete=bool(complete),
+                idempotents_complete=complete,
             )
         except (ValidationFailure, DimensionMismatch) as exc:
             raise ValidationFailure(f"{path}: {exc}") from exc
@@ -152,8 +169,7 @@ def parse_workspace(doc: dict, source: str = "<doc>") -> Workspace:
         return algebras[ref]
 
     bimodules = {}
-    for name, entry in doc.get("bimodules", {}).items():
-        path = f"{source}.bimodules.{name}"
+    for name, path, entry in _entries(doc, "bimodules", source, {}):
         left = algebra_ref(entry, "left", path)
         right = algebra_ref(entry, "right", path)
         dim = _expect(entry, "dim", int, path)
@@ -169,8 +185,7 @@ def parse_workspace(doc: dict, source: str = "<doc>") -> Workspace:
         bimodules[name] = mod
 
     contexts = {}
-    for name, entry in doc.get("contexts", {}).items():
-        path = f"{source}.contexts.{name}"
+    for name, path, entry in _entries(doc, "contexts", source, {}):
         a = algebra_ref(entry, "a", path)
         b = algebra_ref(entry, "b", path)
         m_ref = _expect(entry, "m", str, path)
@@ -190,8 +205,7 @@ def parse_workspace(doc: dict, source: str = "<doc>") -> Workspace:
         contexts[name] = ctx
 
     maps = {}
-    for name, entry in doc.get("maps", {}).items():
-        path = f"{source}.maps.{name}"
+    for name, path, entry in _entries(doc, "maps", source, {}):
         has_ctx = "context" in entry
         has_alg = "algebra" in entry
         if has_ctx == has_alg:
@@ -200,14 +214,14 @@ def parse_workspace(doc: dict, source: str = "<doc>") -> Workspace:
             )
         matrix = _parse_matrix(field, _expect(entry, "matrix", list, path), f"{path}.matrix")
         if has_ctx:
-            ref = entry["context"]
+            ref = _expect(entry, "context", str, path)
             if ref not in contexts:
                 raise ValidationFailure(f"{path}.context: unknown context {ref!r}")
             dims = contexts[ref].block_dims
             target_dim = sum(dims)
             kind = "context"
         else:
-            ref = entry["algebra"]
+            ref = _expect(entry, "algebra", str, path)
             if ref not in algebras:
                 raise ValidationFailure(f"{path}.algebra: unknown algebra {ref!r}")
             target_dim = algebras[ref].dim

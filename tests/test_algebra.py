@@ -30,12 +30,18 @@ from gmalie.constructions import (
     two_nilpotents_algebra,
     upper_triangular_algebra,
 )
-from gmalie.errors import ValidationFailure
+from gmalie.errors import ValidationFailure, Violation
 from gmalie.fields import GF, QQ
 from gmalie.linalg import Subspace
 from gmalie.tristate import TriState
 
-from helpers import associativity_failures, center_size_brute, idempotent_count_brute
+from helpers import (
+    associativity_failures,
+    center_size_brute,
+    idempotent_count_brute,
+    matrix_unit_tensor,
+    random_basis_tensor,
+)
 
 
 def test_unit_law():
@@ -123,6 +129,29 @@ def test_associativity_violations_in_order_and_capped(seed):
     triples = [v.where for v in found if v.law == "associativity"]
     assert triples == associativity_failures(tensor, f.p)
     assert structure_violations(f, a.dim, tensor, a.unit) == found[:8]
+
+
+@pytest.mark.parametrize("p, seed", [(3, 0), (5, 1), (97, 2)])
+def test_capped_associativity_violations_in_a_dense_basis(p, seed):
+    # corrupt products of two off-diagonal matrix units only, so the unit
+    # laws still hold, then move to a random basis: every coordinate sum
+    # has many terms, and the capped list is a prefix of the reference's
+    rng = random.Random(seed)
+    n = 3
+    off_diagonal = [i for i in range(n * n) if i // n != i % n]
+    tensor = matrix_unit_tensor(n, p).tolist()
+    for _ in range(3):
+        i, j = rng.choice(off_diagonal), rng.choice(off_diagonal)
+        k = rng.randrange(n * n)
+        tensor[i][j][k] = (tensor[i][j][k] + rng.randrange(1, p)) % p
+    unit = [int(i // n == i % n) for i in range(n * n)]
+    tensor, unit = random_basis_tensor(tensor, unit, p, rng)
+    expected = associativity_failures(tensor, p)
+    assert len(expected) > 8
+    f = GF(p)
+    found = structure_violations(f, n * n, tensor, unit, cap=10**6)
+    assert found == [Violation("associativity", t) for t in expected]
+    assert structure_violations(f, n * n, tensor, unit) == found[:8]
 
 
 def test_center_of_commutative_is_everything():

@@ -107,6 +107,54 @@ def test_validation_failures_exit_two(capsys, tmp_path):
     assert "validation failure" in err
 
 
+def _set(*path_and_value):
+    """A mutation of a workspace document: set the entry at ``path``."""
+    *path, key, value = path_and_value
+
+    def apply(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return apply
+
+
+def _map_on_algebra(doc):
+    doc["maps"] = {"L": {"algebra": ["A"], "matrix": [[1, 0], [0, 1]]}}
+
+
+_MALFORMED = {
+    "algebra-entry-not-object": (_set("algebras", "A", 5), "algebras.A: expected dict"),
+    "idempotents-not-list": (
+        _set("algebras", "A", "idempotents", 5),
+        "algebras.A.idempotents: expected list",
+    ),
+    "maps-int": (_set("maps", 5), "maps: expected dict"),
+    "maps-list": (_set("maps", []), "maps: expected dict"),
+    "bimodules-int": (_set("bimodules", 5), "bimodules: expected dict"),
+    "bimodules-list": (_set("bimodules", []), "bimodules: expected dict"),
+    "context-entry-not-object": (_set("contexts", "G", 7), "contexts.G: expected dict"),
+    "map-algebra-list": (_map_on_algebra, "maps.L.algebra: expected str"),
+    "dim-bool": (_set("algebras", "A", "dim", True), "algebras.A.dim: expected int"),
+    "idempotents-complete-str": (
+        _set("algebras", "A", "idempotents_complete", "yes"),
+        "algebras.A.idempotents_complete: expected bool",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutate, named", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_workspace_sections_exit_two(capsys, tmp_path, mutate, named):
+    doc = build_document("tri2_Q")
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", "--input", str(bad))
+    assert code == 2
+    assert f"validation failure: {bad}.{named}" in err
+    assert "Traceback" not in err
+
+
 def test_large_modulus_exits_two(capsys, tmp_path, monkeypatch):
     def no_trial_division(n):
         raise AssertionError(f"is_prime({n}) called for an out-of-range modulus")
