@@ -17,7 +17,9 @@ b-bit slots, column c in bits ``[b*c, b*(c+1))``, after Dumas, Fousse and
 Salvy, *Simultaneous modular reduction and Kronecker substitution for small
 finite fields*, J. Symbolic Comput. 46 (2011).  Clearing column c of a row
 with entry f is one bigint addition, ``row + (p - f) * pivot_row``: no
-borrow and no per-entry loop.  Slots are reduced mod p only when a row
+borrow and no per-entry loop.  Each multiple of the pivot row is made when
+its factor first occurs and shared by the later rows, at most
+``min(rows, p - 1)`` per pivot.  Slots are reduced mod p only when a row
 becomes the pivot row (and is normalized) and once at the end, so a slot
 holds at most ``(p - 1) + nc * (p - 1)**2``: its entry, plus one product
 per pivot.  The narrowest b in {16, 32, 64} above that bound is used, so
@@ -37,17 +39,17 @@ thresholds come from a sweep of rows x columns x density x p on random
 systems, and from every system the three benchmark workloads eliminate,
 timed on both paths (``BENCH_packed_kernel.json``):
 - the rule sends 359 of 1176 random systems (up to 512 x 256) to the
-  packed path, a median 4.2x faster; 8 of them, 16-row systems at 10-15%
-  nonzeros, ran up to 2.3x slower;
+  packed path, a median 3.9x faster; 12 of them, mostly 16-row systems at
+  10-15% nonzeros, ran up to 2.2x slower;
 - random systems at 6-10% nonzeros fill in and ran faster packed, but
   the sparse systems the oracle builds at such densities (1500 x 225 at
-  4.0%, 352 x 64 at 8.1%) do not, and the loop won 2.0-2.7x on them:
+  4.0%, 352 x 64 at 8.1%) do not, and the loop won 2.2-2.4x on them:
   hence the density floors;
 - rank-deficient systems of more than 16 columns per row lost on the
-  packed path in 15 of 20 cases, up to 7.5x (4 x 4096);
+  packed path in 16 of 20 cases, up to 9.0x (4 x 4096);
 - in one `oracle` cycle 19 of 3470 systems take the packed path, and the
-  kernel time goes 1304 -> 299 ms; no `fuzz` or `cli` system of seeds
-  1-3 reaches 1520 cells (the largest has 1088), so all stay on the loop.
+  kernel time goes 1850 -> 467 ms; no `fuzz` or `cli` system of seeds
+  1-3 reaches 1500 cells (the largest has 1088), so all stay on the loop.
 """
 
 from __future__ import annotations
@@ -58,9 +60,8 @@ import struct
 _WIDTHS = ((16, "H"), (32, "I"), (64, "Q"))
 
 # measured dispatch thresholds; see the module docstring.  Cell floors from
-# 1100 to 2000 scored the same; 1520 sits between 1519 = 49 x 31 and
-# 1521 = 39 x 39, so systems on both sides of it pass every other test
-_PACKED_MIN_CELLS = 1520
+# 1100 to 2000 scored the same on the sweep and the workload systems
+_PACKED_MIN_CELLS = 1500
 _PACKED_MAX_COLS_PER_ROW = 16
 _PACKED_MIN_PERCENT = 10
 _PACKED_MIN_ROW_NONZEROS = 8
@@ -106,10 +107,13 @@ def _packed_width(data, p):
     cells = nr * nc
     if cells < _PACKED_MIN_CELLS or nc > _PACKED_MAX_COLS_PER_ROW * nr:
         return None
+    width = _slot_width(p, nc)
+    if width is None:
+        return None
     nonzero = cells - sum(row.count(0) for row in data)
     if 100 * nonzero < _PACKED_MIN_PERCENT * cells or nonzero < _PACKED_MIN_ROW_NONZEROS * nr:
         return None
-    return _slot_width(p, nc)
+    return width
 
 
 def _rref_support(data, p):
@@ -177,17 +181,16 @@ def _rref_packed(data, p, bits, code):
         inv = pow(vals[c] % p, -1, p)
         prow = int.from_bytes(pack(*[v * inv % p for v in vals]), "little")
         # rows are updated in place: a second list of packed rows would
-        # raise the peak memory by their size
-        if p <= nr:
-            # the multiples (p - f) * prow, made once for every row to share
-            negs = [0, *[(p - f) * prow for f in range(1, p)]]
-            for i, x in enumerate(rows):
-                if f := (x >> shift & mask) % p:
-                    rows[i] = x + negs[f]
-        else:
-            for i, x in enumerate(rows):
-                if f := (x >> shift & mask) % p:
-                    rows[i] = x + (p - f) * prow
+        # raise the peak memory by their size.  Each multiple (p - f) * prow
+        # is made when f first occurs and shared by the rows that follow, so
+        # a pivot makes at most min(nr, p - 1) of them
+        negs = {}
+        for i, x in enumerate(rows):
+            if f := (x >> shift & mask) % p:
+                m = negs.get(f)
+                if m is None:
+                    m = negs[f] = (p - f) * prow
+                rows[i] = x + m
         rows[r] = prow
         pivots.append(c)
         r += 1

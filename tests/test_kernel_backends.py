@@ -142,12 +142,6 @@ def _check(paths, data, p, path):
     assert paths == [path]
 
 
-def _shape(cells):
-    """(rows, cols) with rows * cols == cells, as square as divisors allow."""
-    cols = max(d for d in range(1, int(cells**0.5) + 1) if cells % d == 0)
-    return cells // cols, cols
-
-
 def _with_nonzeros(rng, rows, cols, p, count):
     """A rows x cols system with exactly ``count`` nonzero entries."""
     flat = [0] * (rows * cols)
@@ -163,13 +157,24 @@ def _min_nonzeros(rows, cols):
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_cell_threshold_edge(paths, offset):
+def test_cell_threshold_edge(paths, monkeypatch, offset):
+    # one dense column, with the per-row floor lowered to the one nonzero a
+    # row has: the cell count is then the only floor in play, on every side
+    # of it (one below may be a prime count, which fits no other shape)
+    monkeypatch.setattr(_kernel, "_PACKED_MIN_ROW_NONZEROS", 1)
     rng = random.Random(offset)
     cells = _kernel._PACKED_MIN_CELLS + offset
-    rows, cols = _shape(cells)
-    data = [[rng.randrange(1, 5) for _ in range(cols)] for _ in range(rows)]
-    assert rows * cols == cells
+    data = [[rng.randrange(1, 5)] for _ in range(cells)]
     _check(paths, data, 5, "loop" if offset < 0 else "packed")
+
+
+@pytest.mark.parametrize("rows, cols, path", [(14, 107, "loop"), (50, 30, "packed"), (19, 79, "packed")])
+def test_cell_threshold_with_every_floor_in_force(paths, rows, cols, path):
+    # dense systems of 1498, 1500 and 1501 cells under the committed floors
+    assert _kernel._PACKED_MIN_CELLS == 1500
+    rng = random.Random(rows)
+    data = [[rng.randrange(1, 5) for _ in range(cols)] for _ in range(rows)]
+    _check(paths, data, 5, path)
 
 
 @pytest.mark.parametrize("rows, cols", [(52, 30), (40, 225), (200, 100)])
