@@ -81,7 +81,8 @@ def rref_mod_p(data, p):
     """Reduced row echelon form over GF(p).
 
     ``data`` is a sequence of equal-length rows of ints in ``[0, p)``.
-    Returns ``(rows, pivot_cols)`` where ``rows`` is a fresh list of lists.
+    Returns ``(rows, pivot_cols)`` where ``rows`` is a fresh list of lists,
+    the nonzero rows only: one per pivot.
     """
     width = _packed_width(data, p)
     if width is None:
@@ -154,6 +155,7 @@ def _rref_support(data, p):
         r += 1
         if r == nr:
             break
+    del rows[r:]
     return rows, pivots
 
 
@@ -196,8 +198,6 @@ def _rref_packed(data, p, bits, code):
         r += 1
         if r == nr:
             break
-    # rows past the rank are zero mod p; only the pivot rows need unpacking
+    # rows past the rank are zero mod p; only the pivot rows are returned
     del rows[r:]
-    out = [[v % p for v in unpack(x.to_bytes(size, "little"))] for x in rows]
-    out.extend([0] * nc for _ in range(nr - r))
-    return out, pivots
+    return [[v % p for v in unpack(x.to_bytes(size, "little"))] for x in rows], pivots

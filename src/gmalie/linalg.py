@@ -218,7 +218,8 @@ class Matrix:
 
 
 def _rref_q(data):
-    """Gauss-Jordan over the rationals with zero-skipping."""
+    """Gauss-Jordan over the rationals with zero-skipping; returns the rank
+    rows only, as ``_kernel.rref_mod_p`` does."""
     rows = [list(r) for r in data]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -255,13 +256,15 @@ def _rref_q(data):
         r += 1
         if r == nr:
             break
+    del rows[r:]
     return rows, pivots
 
 
 def _echelon(field, data):
-    """Dispatch to the field-appropriate elimination; returns (rows, pivots)."""
+    """Dispatch to the field-appropriate elimination; returns (rows, pivots),
+    the nonzero rows of the reduced row echelon form and their pivots."""
     if not data or not data[0]:
-        return [list(r) for r in data], []
+        return [], []
     if field.is_prime_field:
         return _kernel.rref_mod_p(data, field.p)
     return _rref_q(data)
@@ -270,6 +273,7 @@ def _echelon(field, data):
 def rref(m: Matrix):
     """Reduced row echelon form (same shape, zero rows at the bottom) and rank."""
     rows, pivots = _echelon(m.field, m.entries)
+    rows += [[m.field.zero] * m.cols for _ in range(m.rows - len(rows))]
     out = Matrix(m.field, rows, cols=m.cols)
     return out, len(pivots)
 
@@ -395,7 +399,7 @@ def inverse(m: Matrix):
     rows, pivots = _echelon(f, augmented)
     if len(pivots) != n or pivots != list(range(n)):
         return None
-    return Matrix(f, [row[n:] for row in rows[:n]], cols=n)
+    return Matrix(f, [row[n:] for row in rows], cols=n)
 
 
 # -- subspaces -----------------------------------------------------------------
@@ -404,7 +408,7 @@ def inverse(m: Matrix):
 class Subspace:
     """Linear subspace of F^n with a canonical RREF basis (rows, no zero rows)."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "_pivots")
 
     def __init__(self, field: Field, ambient_dim: int, vectors=(), *, _reduced=False):
         vectors = [tuple(field.of(x) for x in v) for v in vectors]
@@ -416,11 +420,11 @@ class Subspace:
         if _reduced:
             grid = tuple(vectors)
         else:
-            rows, pivots = _echelon(field, vectors)
-            grid = tuple(tuple(r) for r in rows[: len(pivots)])
+            grid = tuple(tuple(r) for r in _echelon(field, vectors)[0])
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = Matrix._raw(field, grid, ambient_dim)
+        self._pivots = None
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -440,14 +444,13 @@ class Subspace:
         return self.basis.entries
 
     def pivot_columns(self):
-        z = self.field.zero
-        out = []
-        for row in self.basis.entries:
-            for j, x in enumerate(row):
-                if x != z:
-                    out.append(j)
-                    break
-        return tuple(out)
+        """Column of each basis row's leading entry, found once."""
+        if self._pivots is None:
+            z = self.field.zero
+            self._pivots = tuple(
+                next(j for j, x in enumerate(row) if x != z) for row in self.basis.entries
+            )
+        return self._pivots
 
     # -- membership ------------------------------------------------------------
 

@@ -16,9 +16,11 @@ probe order is fixed: first-diagonal, second-diagonal, upper, lower.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, product
 
 from .algebra import (
     DEFAULT_BUDGET,
+    _memo,
     center,
     commutation_operator,
     commutator_span,
@@ -30,6 +32,8 @@ from .linalg import Matrix, Subspace, inverse, kernel
 from .morita import left_action_kernel, right_action_kernel
 from .spaces import (
     EndoMap,
+    _add_row,
+    _failing_tags,
     derivation_defect,
     is_central_commutator_free,
     is_derivation,
@@ -108,36 +112,20 @@ class PresentationReport:
         return tuple(name for name, v in self.violations.items() if v)
 
     def first_violation(self):
-        for name in self.violations:
-            if self.violations[name]:
-                return self.violations[name][0]
-        return None
-
-
-def _check_parts_shapes(g: GMAlgebra, shapes):
-    for mat, rows, cols, what in shapes:
-        if mat.rows != rows or mat.cols != cols or mat.field != g.field:
-            raise DimensionMismatch(f"component {what} must be {rows}x{cols}")
+        return next((v[0] for v in self.violations.values() if v), None)
 
 
 # -- extraction -----------------------------------------------------------------
 
 
-def _probe_images(g: GMAlgebra, endo: EndoMap):
-    c = g.context
+def _read_lie_parts(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
+    c, f = g.context, g.field
     da, dm, dn, db = g.block_dims
     a_imgs = [g.project(endo.apply(g.embed_a(c.a.basis_vector(i)))) for i in range(da)]
     b_imgs = [g.project(endo.apply(g.embed_b(c.b.basis_vector(i)))) for i in range(db)]
     m_imgs = [g.project(endo.apply(g.embed_m(c.m.basis_vector(i)))) for i in range(dm)]
     n_imgs = [g.project(endo.apply(g.embed_n(c.n.basis_vector(i)))) for i in range(dn)]
     unit_img = g.project(endo.apply(g.embed_a(c.a.unit)))
-    return a_imgs, b_imgs, m_imgs, n_imgs, unit_img
-
-
-def _read_lie_parts(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
-    f = g.field
-    da, dm, dn, db = g.block_dims
-    a_imgs, b_imgs, m_imgs, n_imgs, unit_img = _probe_images(g, endo)
     return LiePresentation(
         on_a=Matrix.from_columns(f, [img[0] for img in a_imgs], rows=da),
         on_b=Matrix.from_columns(f, [img[3] for img in b_imgs], rows=db),
@@ -195,15 +183,9 @@ def extract_central(g: GMAlgebra, endo: EndoMap) -> CentralPresentation:
     """Extract the four center-valued components of a central map."""
     if not is_central_commutator_free(g.algebra, endo):
         raise PreconditionError("map is not central-valued vanishing on commutators")
-    f = g.field
-    da, dm, dn, db = g.block_dims
-    a_imgs, b_imgs, _, _, _ = _probe_images(g, endo)
-    parts = CentralPresentation(
-        a_to_center_a=Matrix.from_columns(f, [img[0] for img in a_imgs], rows=da),
-        b_to_center_a=Matrix.from_columns(f, [img[0] for img in b_imgs], rows=da),
-        a_to_center_b=Matrix.from_columns(f, [img[3] for img in a_imgs], rows=db),
-        b_to_center_b=Matrix.from_columns(f, [img[3] for img in b_imgs], rows=db),
-    )
+    # a central map has the Lie presentation of _central_as_lie
+    lie = _read_lie_parts(g, endo)
+    parts = CentralPresentation(lie.on_a, lie.b_to_center_a, lie.a_to_center_b, lie.on_b)
     return _verified(g, endo, parts, _central_matrix, check_central_parts)
 
 
@@ -211,78 +193,46 @@ def extract_central(g: GMAlgebra, endo: EndoMap) -> CentralPresentation:
 
 
 def _lie_matrix(g: GMAlgebra, parts: LiePresentation) -> Matrix:
-    c = g.context
-    f = g.field
-    da, dm, dn, db = g.block_dims
-    neg = f.neg
-    zero_m = (f.zero,) * dm
-    zero_n = (f.zero,) * dn
+    c, f, p = g.context, g.field, parts
+    sm, sn = p.shift_m, p.shift_n
+    mn, nm = c.pair_mn_apply, c.pair_nm_apply
+
+    def neg(v):
+        return tuple(f.neg(x) for x in v)
+
     cols = []
-    for t in range(da):
-        ea = c.a.basis_vector(t)
-        cols.append(
-            g.embed(
-                parts.on_a.column(t),
-                c.m.act_left(ea, parts.shift_m),
-                c.n.act_right(parts.shift_n, ea),
-                parts.a_to_center_b.column(t),
-            )
-        )
-    for t in range(dm):
-        em = c.m.basis_vector(t)
-        cols.append(
-            g.embed(
-                tuple(neg(x) for x in c.pair_mn_apply(em, parts.shift_n)),
-                parts.on_m.column(t),
-                zero_n,
-                c.pair_nm_apply(parts.shift_n, em),
-            )
-        )
-    for t in range(dn):
-        en = c.n.basis_vector(t)
-        cols.append(
-            g.embed(
-                tuple(neg(x) for x in c.pair_mn_apply(parts.shift_m, en)),
-                zero_m,
-                parts.on_n.column(t),
-                c.pair_nm_apply(en, parts.shift_m),
-            )
-        )
-    for t in range(db):
-        eb = c.b.basis_vector(t)
-        cols.append(
-            g.embed(
-                parts.b_to_center_a.column(t),
-                tuple(neg(x) for x in c.m.act_right(parts.shift_m, eb)),
-                tuple(neg(x) for x in c.n.act_left(eb, parts.shift_n)),
-                parts.on_b.column(t),
-            )
-        )
+    for t in range(c.a.dim):
+        e = c.a.basis_vector(t)
+        m, n = c.m.act_left(e, sm), c.n.act_right(sn, e)
+        cols.append(g.embed(p.on_a.column(t), m, n, p.a_to_center_b.column(t)))
+    for t in range(c.m.dim):
+        e = c.m.basis_vector(t)
+        cols.append(g.embed(neg(mn(e, sn)), p.on_m.column(t), c.n.zero(), nm(sn, e)))
+    for t in range(c.n.dim):
+        e = c.n.basis_vector(t)
+        cols.append(g.embed(neg(mn(sm, e)), c.m.zero(), p.on_n.column(t), nm(e, sm)))
+    for t in range(c.b.dim):
+        e = c.b.basis_vector(t)
+        m, n = neg(c.m.act_right(sm, e)), neg(c.n.act_left(e, sn))
+        cols.append(g.embed(p.b_to_center_a.column(t), m, n, p.on_b.column(t)))
     return Matrix.from_columns(f, cols, rows=g.algebra.dim)
+
+
+def _central_as_lie(g: GMAlgebra, parts: CentralPresentation) -> LiePresentation:
+    """The Lie presentation, with zero module maps and shifts, of the map
+    that ``parts`` present."""
+    f = g.field
+    _, dm, dn, _ = g.block_dims
+    on_m, on_n = Matrix.zeros(f, dm, dm), Matrix.zeros(f, dn, dn)
+    p = parts
+    return LiePresentation(
+        p.a_to_center_a, p.b_to_center_b, on_m, on_n, p.a_to_center_b, p.b_to_center_a,
+        (f.zero,) * dm, (f.zero,) * dn,
+    )
 
 
 def _central_matrix(g: GMAlgebra, parts: CentralPresentation) -> Matrix:
-    c = g.context
-    f = g.field
-    da, dm, dn, db = g.block_dims
-    zero_m = (f.zero,) * dm
-    zero_n = (f.zero,) * dn
-    cols = []
-    for t in range(da):
-        cols.append(
-            g.embed(
-                parts.a_to_center_a.column(t), zero_m, zero_n, parts.a_to_center_b.column(t)
-            )
-        )
-    for _ in range(dm + dn):
-        cols.append((f.zero,) * g.algebra.dim)
-    for t in range(db):
-        cols.append(
-            g.embed(
-                parts.b_to_center_a.column(t), zero_m, zero_n, parts.b_to_center_b.column(t)
-            )
-        )
-    return Matrix.from_columns(f, cols, rows=g.algebra.dim)
+    return _lie_matrix(g, _central_as_lie(g, parts))
 
 
 def _rebuild(g: GMAlgebra, parts, report, matrix_of, holds, what) -> EndoMap:
@@ -311,157 +261,231 @@ def rebuild_central(g: GMAlgebra, parts: CentralPresentation) -> EndoMap:
     return _rebuild(g, parts, report, _central_matrix, is_central_commutator_free, "central map")
 
 
-def _check_lie_shapes(g, parts):
-    da, dm, dn, db = g.block_dims
-    _check_parts_shapes(
-        g,
-        [
-            (parts.on_a, da, da, "on_a"),
-            (parts.on_b, db, db, "on_b"),
-            (parts.on_m, dm, dm, "on_m"),
-            (parts.on_n, dn, dn, "on_n"),
-            (parts.a_to_center_b, db, da, "a_to_center_b"),
-            (parts.b_to_center_a, da, db, "b_to_center_a"),
-        ],
-    )
-    if len(parts.shift_m) != dm or len(parts.shift_n) != dn:
-        raise DimensionMismatch("shift element length mismatch")
+# -- conditions as tagged rows -------------------------------------------------------
+#
+# Every presentation condition is linear in the components, so each is a
+# tuple of sparse rows (tag, columns, coefficients) over the components,
+# flattened row-major one after another in the order of ``_LIE_SHAPES`` or
+# ``_CENTRAL_SHAPES`` (the shifts enter no condition).  A tag is
+# (condition, Violation), shared by the rows of one basis tuple.  Each group
+# is built once per context, in the order of the element-wise checks it
+# replaced, and read by the rules' evaluator, ``spaces._failing_tags``.
+
+# component, and the blocks of its rows and columns (0 A, 1 M, 2 N, 3 B)
+_LIE_SHAPES = (
+    ("on_a", 0, 0), ("on_b", 3, 3), ("on_m", 1, 1), ("on_n", 2, 2),
+    ("a_to_center_b", 3, 0), ("b_to_center_a", 0, 3),
+)
+_CENTRAL_SHAPES = (
+    ("a_to_center_a", 0, 0), ("b_to_center_a", 0, 3),
+    ("a_to_center_b", 3, 0), ("b_to_center_b", 3, 3),
+)
+_COMPAT = ("m_compat", "n_compat", "pairing_compat")
+_LIE_CONDITIONS = ("diagonal_lie", "cross_central", "cross_kill_commutators", *_COMPAT)
+_DERIVATION_CONDITIONS = ("diagonal_derivation", "cross_zero", *_COMPAT)
+_CENTRAL_CONDITIONS = ("kill_commutators", "central_pairs", "pairing_match")
 
 
-def _check_central_shapes(g, parts):
-    da, dm, dn, db = g.block_dims
-    _check_parts_shapes(
-        g,
-        [
-            (parts.a_to_center_a, da, da, "a_to_center_a"),
-            (parts.b_to_center_a, da, db, "b_to_center_a"),
-            (parts.a_to_center_b, db, da, "a_to_center_b"),
-            (parts.b_to_center_b, db, db, "b_to_center_b"),
-        ],
-    )
+def _layout(g: GMAlgebra, shapes) -> dict:
+    """Component -> (offset, rows, cols) in the flattening."""
+    dims = g.block_dims
+    out, at = {}, 0
+    for name, r, c in shapes:
+        out[name] = (at, dims[r], dims[c])
+        at += dims[r] * dims[c]
+    return out
 
 
-# -- condition validation ----------------------------------------------------------
+def _flat(g: GMAlgebra, parts, shapes) -> tuple:
+    """The components of ``parts``, each checked against its shape, flattened."""
+    flat = ()
+    for name, (_, rows, cols) in _layout(g, shapes).items():
+        mat = getattr(parts, name)
+        if mat.rows != rows or mat.cols != cols or mat.field != g.field:
+            raise DimensionMismatch(f"component {name} must be {rows}x{cols}")
+        flat += mat.flatten()
+    return flat
 
 
-def _vec_add(f, *vecs):
-    out = list(vecs[0])
-    for v in vecs[1:]:
-        for i, x in enumerate(v):
-            out[i] = f.add(out[i], x)
-    return tuple(out)
+def _unit(f, n, i, x=None) -> tuple:
+    """x e_i in F^n, with x = 1 by default."""
+    return tuple((f.one if x is None else x) if t == i else f.zero for t in range(n))
 
 
-def _vec_sub(f, u, v):
-    return tuple(f.sub(x, y) for x, y in zip(u, v))
+def _equation(rows, f, tag, dim, terms):
+    """Append under ``tag`` the ``dim`` rows of sum U X v = 0 over the
+    ``terms`` (place, U, v): X is the component at ``place``, U a matrix
+    given by its columns (None for the identity) and v a vector."""
+    z = f.zero
+    for k in range(dim):
+        row = []
+        for (off, _, cols), u, v in terms:
+            left = [(k, f.one)] if u is None else [(s, c[k]) for s, c in enumerate(u) if c[k] != z]
+            right = [(t, y) for t, y in enumerate(v) if y != z]
+            row += [(off + s * cols + t, f.mul(x, y)) for s, x in left for t, y in right]
+        _add_row(rows, f, tag, row)
 
 
-def _module_compat(module, left: bool, diag: Matrix, phi: Matrix, chi: Matrix) -> list:
-    """Basis pairs breaking phi(x.p) = delta(x).p + x.phi(p) - p.chi(x), for x
-    acting on the module from the left, or the mirror rule
-    phi(p.x) = p.delta(x) + phi(p).x - chi(x).p when ``left`` is false; delta
-    is ``diag`` and the cross value chi(x) acts from the opposite side.  A
-    left pair is located as (x, p), a right pair as (p, x)."""
-    f = module.field
-    if left:
-        algebra, law = module.left, "left_product"
-        act, cross_act = module.act_left, lambda h, p: module.act_right(p, h)
-    else:
-        algebra, law = module.right, "right_product"
-        act, cross_act = lambda x, p: module.act_right(p, x), module.act_left
-    bad = []
-    for i in range(algebra.dim):
-        x = algebra.basis_vector(i)
-        dx = diag.column(i)
-        hx = chi.column(i)
-        for j in range(module.dim):
-            p = module.basis_vector(j)
-            lhs = phi.apply(act(x, p))
-            rhs = _vec_sub(f, _vec_add(f, act(dx, p), act(x, phi.column(j))), cross_act(hx, p))
-            if lhs != rhs:
-                bad.append(Violation(law, (i, j) if left else (j, i)))
-    return bad
+def _leibniz(rows, f, at, tag, b, out, d1, d2, i, j, extra):
+    """Append the rows of out(b(x_i, y_j)) - b(d1(x_i), y_j) - b(x_i, d2(y_j))
+    + sum(extra) = 0, for the bilinear map with b[i][j] = b(x_i, y_j)."""
+    minus = f.neg(f.one)
+    terms = [
+        (at[out], None, b[i][j]),
+        (at[d1], [by_x[j] for by_x in b], _unit(f, len(b), i, minus)),
+        (at[d2], b[i], _unit(f, len(b[i]), j, minus)),
+        *extra,
+    ]
+    _equation(rows, f, tag, len(b[i][j]), terms)
 
 
-def _check_block_parts(g, parts, kind, defect, rule, cross) -> PresentationReport:
-    """The presentation conditions shared by Lie derivations and derivations.
+@_memo
+def _compat_rows(g: GMAlgebra) -> tuple:
+    """Module compatibility, phi(x.p) = delta(x).p + x.phi(p) - p.chi(x) for
+    x acting from the left and the mirror rule from the right: phi is the
+    module map, delta the diagonal map and chi the cross map, whose values
+    act from the other side.  On M the left pairs (x, p) come first, on N
+    the right pairs (p, x).  Then pairing compatibility for each (m, n):
+    on_a(mn) - b_to_center_a(nm) = m.on_n(n) + on_m(m).n in A (the first
+    block), and on_b(nm) - a_to_center_b(mn) = on_n(n).m + n.on_m(m) in B
+    (the second)."""
+    c, f = g.context, g.field
+    at = _layout(g, _LIE_SHAPES)
+    rows = []
+    for condition, module, phi, left, delta, chi in (
+        ("m_compat", c.m, "on_m", True, "on_a", "a_to_center_b"),
+        ("m_compat", c.m, "on_m", False, "on_b", "b_to_center_a"),
+        ("n_compat", c.n, "on_n", False, "on_a", "a_to_center_b"),
+        ("n_compat", c.n, "on_n", True, "on_b", "b_to_center_a"),
+    ):
+        # act[i][j]: x_i acting on p_j; cross[h][j]: h acting from the other side
+        swapped = tuple(zip(*module.right_action))
+        act, cross = (module.left_action, swapped) if left else (swapped, module.left_action)
+        law = "left_product" if left else "right_product"
+        for i, j in product(range(len(act)), range(module.dim)):
+            tag = (condition, Violation(law, (i, j) if left else (j, i)))
+            extra = [(at[chi], [h[j] for h in cross], _unit(f, len(act), i))]
+            _leibniz(rows, f, at, tag, act, phi, delta, phi, i, j, extra)
+    P, Q = c.pair_mn, c.pair_nm
+    nm_by_m = tuple(zip(*Q))
+    for i, j in product(range(len(P)), range(len(Q))):
+        neg_mn, neg_nm = (tuple(map(f.neg, v)) for v in (P[i][j], Q[j][i]))
+        tag = ("pairing_compat", Violation("first_block", (i, j)))
+        extra = [(at["b_to_center_a"], None, neg_nm)]
+        _leibniz(rows, f, at, tag, P, "on_a", "on_m", "on_n", i, j, extra)
+        tag = ("pairing_compat", Violation("second_block", (i, j)))
+        extra = [(at["a_to_center_b"], None, neg_mn)]
+        _leibniz(rows, f, at, tag, nm_by_m, "on_b", "on_m", "on_n", i, j, extra)
+    return tuple(rows)
 
-    ``defect`` is the rule the diagonal maps must obey (named ``rule`` in the
-    report) and ``cross`` returns the conditions on the two cross maps; the
-    module and pairing conditions carry the cross terms, which vanish for a
-    derivation.
-    """
-    _check_lie_shapes(g, parts)
-    c = g.context
+
+@_memo
+def _cross_central_rows(g: GMAlgebra) -> tuple:
+    """Lie cross maps: every value central in the opposite block, then every
+    commutator of the source block killed; the first cross map first."""
+    c, f = g.context, g.field
+    at = _layout(g, _LIE_SHAPES)
+    crosses = (("a", "a_to_center_b", c.a, c.b), ("b", "b_to_center_a", c.b, c.a))
+    rows = []
+    for _, name, source, target in crosses:
+        membership = center(target).membership_operator().transpose().entries
+        for i in range(source.dim):
+            tag = ("cross_central", Violation(f"{name}_value", (i,)))
+            _equation(rows, f, tag, target.dim, [(at[name], membership, _unit(f, source.dim, i))])
+    for side, name, source, target in crosses:
+        for r, w in enumerate(commutator_span(source).basis.entries):
+            tag = ("cross_kill_commutators", Violation(f"{side}_commutator", (r,)))
+            _equation(rows, f, tag, target.dim, [(at[name], None, w)])
+    return tuple(rows)
+
+
+@_memo
+def _cross_zero_rows(g: GMAlgebra) -> tuple:
+    """Derivation cross maps: every value zero."""
     f = g.field
-    _, dm, dn, _ = g.block_dims
-    diagonal = []
+    at = _layout(g, _LIE_SHAPES)
+    rows = []
+    for name in ("a_to_center_b", "b_to_center_a"):
+        _, dim, cols = at[name]
+        for i in range(cols):
+            tag = ("cross_zero", Violation(f"{name}_value", (i,)))
+            _equation(rows, f, tag, dim, [(at[name], None, _unit(f, cols, i))])
+    return tuple(rows)
+
+
+def _center_membership(g: GMAlgebra) -> tuple:
+    """The columns of the membership operator of the assembled algebra's
+    center on the first and on the second diagonal block."""
+    cols = center(g.algebra).membership_operator().transpose().entries
+    return cols[: g.block_dims[0]], cols[g.offsets[3] :]
+
+
+@_memo
+def _central_rows(g: GMAlgebra) -> tuple:
+    """The central presentation: commutators killed (A's, then B's), block
+    pairs central in the assembled algebra (first diagonal, then second) and
+    pairings matched (first block, then second, for each basis pair)."""
+    c, f = g.context, g.field
+    da, dm, dn, db = g.block_dims
+    at = _layout(g, _CENTRAL_SHAPES)
+    rows = []
+    for source, names in (
+        (c.a, ("a_to_center_a", "a_to_center_b")),
+        (c.b, ("b_to_center_a", "b_to_center_b")),
+    ):
+        for r, w in enumerate(commutator_span(source).basis.entries):
+            for name in names:
+                tag = ("kill_commutators", Violation(name, (r,)))
+                _equation(rows, f, tag, at[name][1], [(at[name], None, w)])
+    on_a, on_b = _center_membership(g)
+    for law, n, upper, lower in (
+        ("first_diagonal", da, "a_to_center_a", "a_to_center_b"),
+        ("second_diagonal", db, "b_to_center_a", "b_to_center_b"),
+    ):
+        for i in range(n):
+            e = _unit(f, n, i)
+            terms = [(at[upper], on_a, e), (at[lower], on_b, e)]
+            _equation(rows, f, ("central_pairs", Violation(law, (i,))), g.algebra.dim, terms)
+    for i, j in product(range(dm), range(dn)):
+        mn, neg_nm = c.pair_mn[i][j], tuple(map(f.neg, c.pair_nm[j][i]))
+        for law, by_mn, by_nm, dim in (
+            ("first_block", "a_to_center_a", "b_to_center_a", da),
+            ("second_block", "a_to_center_b", "b_to_center_b", db),
+        ):
+            terms = [(at[by_mn], None, mn), (at[by_nm], None, neg_nm)]
+            _equation(rows, f, ("pairing_match", Violation(law, (i, j))), dim, terms)
+    return tuple(rows)
+
+
+def _report(kind, bad, failing) -> PresentationReport:
+    """``bad`` with the failing (condition, Violation) tags added."""
+    for name, violation in failing:
+        bad[name].append(violation)
+    return PresentationReport(kind, {name: tuple(v) for name, v in bad.items()})
+
+
+def _check_block_parts(g, parts, kind, conditions, defect, rule, cross_rows) -> PresentationReport:
+    """The conditions shared by Lie derivations and derivations: ``defect``
+    is the rule the diagonal maps obey (``rule`` in the report), and
+    ``cross_rows`` the conditions on the two cross maps."""
+    flat = _flat(g, parts, _LIE_SHAPES)
+    if (len(parts.shift_m), len(parts.shift_n)) != g.block_dims[1:3]:
+        raise DimensionMismatch("shift element length mismatch")
+    c = g.context
+    bad = {name: [] for name in conditions}
     for side, algebra, on in (("a", c.a, parts.on_a), ("b", c.b, parts.on_b)):
         where = defect(algebra, EndoMap(on))
         if where is not None:
-            diagonal.append(Violation(f"{rule}_on_{side}", where))
-    bad = {f"diagonal_{kind}": diagonal, **cross(g, parts)}
-    bad["m_compat"] = _module_compat(
-        c.m, True, parts.on_a, parts.on_m, parts.a_to_center_b
-    ) + _module_compat(c.m, False, parts.on_b, parts.on_m, parts.b_to_center_a)
-    bad["n_compat"] = _module_compat(
-        c.n, False, parts.on_a, parts.on_n, parts.a_to_center_b
-    ) + _module_compat(c.n, True, parts.on_b, parts.on_n, parts.b_to_center_a)
-
-    pairing = []
-    for i in range(dm):
-        em = c.m.basis_vector(i)
-        fm = parts.on_m.column(i)
-        for j in range(dn):
-            en = c.n.basis_vector(j)
-            gn = parts.on_n.column(j)
-            mn = c.pair_mn_apply(em, en)
-            nm = c.pair_nm_apply(en, em)
-            lhs1 = _vec_sub(f, parts.on_a.apply(mn), parts.b_to_center_a.apply(nm))
-            rhs1 = _vec_add(f, c.pair_mn_apply(em, gn), c.pair_mn_apply(fm, en))
-            if lhs1 != rhs1:
-                pairing.append(Violation("first_block", (i, j)))
-            lhs2 = _vec_sub(f, parts.on_b.apply(nm), parts.a_to_center_b.apply(mn))
-            rhs2 = _vec_add(f, c.pair_nm_apply(gn, em), c.pair_nm_apply(en, fm))
-            if lhs2 != rhs2:
-                pairing.append(Violation("second_block", (i, j)))
-    bad["pairing_compat"] = pairing
-    return PresentationReport(kind, {k: tuple(v) for k, v in bad.items()})
-
-
-def _cross_central(g, parts) -> dict:
-    """Lie cross maps: values central in the opposite block, commutators killed."""
-    c = g.context
-    central, kill = [], []
-    for side, name, cross, source, target in (
-        ("a", "a_to_center_b", parts.a_to_center_b, c.a, c.b),
-        ("b", "b_to_center_a", parts.b_to_center_a, c.b, c.a),
-    ):
-        center_t = center(target)
-        for i in range(cross.cols):
-            if not center_t.contains_vector(cross.column(i)):
-                central.append(Violation(f"{name}_value", (i,)))
-        for idx, w in enumerate(commutator_span(source).basis.entries):
-            if any(cross.apply(w)):
-                kill.append(Violation(f"{side}_commutator", (idx,)))
-    return {"cross_central": central, "cross_kill_commutators": kill}
-
-
-def _cross_zero(g, parts) -> dict:
-    """Derivation cross maps: every value is zero."""
-    crosses = (("a_to_center_b", parts.a_to_center_b), ("b_to_center_a", parts.b_to_center_a))
-    nonzero = [
-        Violation(f"{name}_value", (i,))
-        for name, cross in crosses
-        for i in range(cross.cols)
-        if any(cross.column(i))
-    ]
-    return {"cross_zero": nonzero}
+            bad[conditions[0]].append(Violation(f"{rule}_on_{side}", where))
+    rows = chain(cross_rows(g), _compat_rows(g))
+    return _report(kind, bad, _failing_tags(g.field, rows, flat))
 
 
 def check_lie_parts(g: GMAlgebra, parts: LiePresentation) -> PresentationReport:
     """Check the Lie presentation conditions on all basis tuples."""
-    return _check_block_parts(g, parts, "lie", lie_defect, "bracket_rule", _cross_central)
+    return _check_block_parts(
+        g, parts, "lie", _LIE_CONDITIONS, lie_defect, "bracket_rule", _cross_central_rows
+    )
 
 
 def check_derivation_parts(g: GMAlgebra, parts: LiePresentation) -> PresentationReport:
@@ -469,59 +493,16 @@ def check_derivation_parts(g: GMAlgebra, parts: LiePresentation) -> Presentation
     those of a Lie presentation with zero cross maps and the product rule on
     the diagonal maps."""
     return _check_block_parts(
-        g, parts, "derivation", derivation_defect, "product_rule", _cross_zero
+        g, parts, "derivation", _DERIVATION_CONDITIONS, derivation_defect, "product_rule",
+        _cross_zero_rows,
     )
 
 
 def check_central_parts(g: GMAlgebra, parts: CentralPresentation) -> PresentationReport:
     """Check the central presentation: commutators killed, block pairs
     central in the assembled algebra, pairings matched."""
-    _check_central_shapes(g, parts)
-    c = g.context
-    f = g.field
-    da, dm, dn, db = g.block_dims
-    bad = {"kill_commutators": [], "central_pairs": [], "pairing_match": []}
-
-    zero_a = (f.zero,) * da
-    zero_b = (f.zero,) * db
-    for idx, w in enumerate(commutator_span(c.a).basis.entries):
-        if parts.a_to_center_a.apply(w) != zero_a:
-            bad["kill_commutators"].append(Violation("a_to_center_a", (idx,)))
-        if parts.a_to_center_b.apply(w) != zero_b:
-            bad["kill_commutators"].append(Violation("a_to_center_b", (idx,)))
-    for idx, w in enumerate(commutator_span(c.b).basis.entries):
-        if parts.b_to_center_a.apply(w) != zero_a:
-            bad["kill_commutators"].append(Violation("b_to_center_a", (idx,)))
-        if parts.b_to_center_b.apply(w) != zero_b:
-            bad["kill_commutators"].append(Violation("b_to_center_b", (idx,)))
-
-    z_g = center(g.algebra)
-    zero_m = (f.zero,) * dm
-    zero_n = (f.zero,) * dn
-    for i in range(da):
-        pair = g.embed(
-            parts.a_to_center_a.column(i), zero_m, zero_n, parts.a_to_center_b.column(i)
-        )
-        if not z_g.contains_vector(pair):
-            bad["central_pairs"].append(Violation("first_diagonal", (i,)))
-    for j in range(db):
-        pair = g.embed(
-            parts.b_to_center_a.column(j), zero_m, zero_n, parts.b_to_center_b.column(j)
-        )
-        if not z_g.contains_vector(pair):
-            bad["central_pairs"].append(Violation("second_diagonal", (j,)))
-
-    for i in range(dm):
-        em = c.m.basis_vector(i)
-        for j in range(dn):
-            en = c.n.basis_vector(j)
-            mn = c.pair_mn_apply(em, en)
-            nm = c.pair_nm_apply(en, em)
-            if parts.a_to_center_a.apply(mn) != parts.b_to_center_a.apply(nm):
-                bad["pairing_match"].append(Violation("first_block", (i, j)))
-            if parts.a_to_center_b.apply(mn) != parts.b_to_center_b.apply(nm):
-                bad["pairing_match"].append(Violation("second_block", (i, j)))
-    return PresentationReport("central", {k: tuple(v) for k, v in bad.items()})
+    failing = _failing_tags(g.field, _central_rows(g), _flat(g, parts, _CENTRAL_SHAPES))
+    return _report("central", {name: [] for name in _CENTRAL_CONDITIONS}, failing)
 
 
 # -- properness criteria -------------------------------------------------------------
@@ -540,34 +521,26 @@ def companion_central_maps(g: GMAlgebra, parts: LiePresentation):
         raise PreconditionError(
             "companion maps need the center isomorphism (module not faithful)"
         )
-    f = g.field
-    da, dm, dn, db = g.block_dims
     iso = analysis.center_iso
     iso_inv = inverse(iso)
     if iso_inv is None:
         raise ConsistencyError("center isomorphism is singular")
-    a_cols = []
-    for i in range(da):
-        coords = analysis.proj_b.coordinates(parts.a_to_center_b.column(i))
-        if coords is None:
-            raise PreconditionError(
-                f"cross-map image of first-diagonal basis element {i} "
-                "is outside the projected center"
-            )
-        a_cols.append(analysis.proj_a.from_coordinates(iso_inv.apply(coords)))
-    b_cols = []
-    for j in range(db):
-        coords = analysis.proj_a.coordinates(parts.b_to_center_a.column(j))
-        if coords is None:
-            raise PreconditionError(
-                f"cross-map image of second-diagonal basis element {j} "
-                "is outside the projected center"
-            )
-        b_cols.append(analysis.proj_b.from_coordinates(iso.apply(coords)))
-    return (
-        Matrix.from_columns(f, a_cols, rows=da),
-        Matrix.from_columns(f, b_cols, rows=db),
-    )
+    companions = []
+    for which, cross, source, target, through in (
+        ("first", parts.a_to_center_b, analysis.proj_b, analysis.proj_a, iso_inv),
+        ("second", parts.b_to_center_a, analysis.proj_a, analysis.proj_b, iso),
+    ):
+        cols = []
+        for i in range(cross.cols):
+            coords = source.coordinates(cross.column(i))
+            if coords is None:
+                raise PreconditionError(
+                    f"cross-map image of {which}-diagonal basis element {i} "
+                    "is outside the projected center"
+                )
+            cols.append(target.from_coordinates(through.apply(coords)))
+        companions.append(Matrix.from_columns(g.field, cols, rows=cross.cols))
+    return tuple(companions)
 
 
 @dataclass(frozen=True)
@@ -593,35 +566,46 @@ class CriteriaReport:
     oracle_agrees: bool | None
 
 
+_CRITERIA = ("range_a", "range_b", "central_pairs")
+
+
+@_memo
+def _criteria_rows(g: GMAlgebra) -> tuple:
+    """The properness criteria over the Lie presentation's components: each
+    first-diagonal cross image in ``proj_b``, tagged ("range_a", i); each
+    second-diagonal one in ``proj_a``, ("range_b", j); and, for each (M, N)
+    basis pair (m, n), b_to_center_a(nm) + a_to_center_b(mn) central,
+    ("central_pairs", (i, j))."""
+    an = center_analysis(g)
+    c, f = g.context, g.field
+    at = _layout(g, _LIE_SHAPES)
+    rows = []
+    for name, cross, proj in (
+        ("range_a", "a_to_center_b", an.proj_b),
+        ("range_b", "b_to_center_a", an.proj_a),
+    ):
+        membership = proj.membership_operator().transpose().entries
+        _, dim, cols = at[cross]
+        for i in range(cols):
+            _equation(rows, f, (name, i), dim, [(at[cross], membership, _unit(f, cols, i))])
+    on_a, on_b = _center_membership(g)
+    for i, j in product(range(len(c.pair_mn)), range(len(c.pair_nm))):
+        nm, mn = c.pair_nm[j][i], c.pair_mn[i][j]
+        terms = [(at["b_to_center_a"], on_a, nm), (at["a_to_center_b"], on_b, mn)]
+        _equation(rows, f, ("central_pairs", (i, j)), g.algebra.dim, terms)
+    return tuple(rows)
+
+
 def _criteria_witnesses(g: GMAlgebra, parts: LiePresentation) -> tuple:
     """First failing index of each properness criterion, or None where it
     holds: the first-diagonal basis element whose cross image leaves
     ``proj_b``, the second-diagonal one whose cross image leaves ``proj_a``,
     and the (M, N) basis pair whose cross-mapped pairings are not a central
-    pair.  Every criterion is linear in the map."""
-    an = center_analysis(g)
-    c = g.context
-    f = g.field
-    da, dm, dn, db = g.block_dims
-    cross_a, cross_b = parts.a_to_center_b, parts.b_to_center_a
-    zero_m = (f.zero,) * dm
-    zero_n = (f.zero,) * dn
-
-    def central_pair(i, j):
-        em, en = c.m.basis_vector(i), c.n.basis_vector(j)
-        pair = g.embed(
-            cross_b.apply(c.pair_nm_apply(en, em)),
-            zero_m,
-            zero_n,
-            cross_a.apply(c.pair_mn_apply(em, en)),
-        )
-        return an.center.contains_vector(pair)
-
-    return (
-        next((i for i in range(da) if not an.proj_b.contains_vector(cross_a.column(i))), None),
-        next((j for j in range(db) if not an.proj_a.contains_vector(cross_b.column(j))), None),
-        next(((i, j) for i in range(dm) for j in range(dn) if not central_pair(i, j)), None),
-    )
+    pair."""
+    first = {}
+    for name, where in _failing_tags(g.field, _criteria_rows(g), _flat(g, parts, _LIE_SHAPES)):
+        first.setdefault(name, where)
+    return tuple(first.get(name) for name in _CRITERIA)
 
 
 def properness_criteria(g: GMAlgebra, parts: LiePresentation) -> CriteriaReport:

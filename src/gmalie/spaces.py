@@ -279,22 +279,30 @@ def proper_space(g) -> MapSpace:
 # -- pointwise identity checks -------------------------------------------------
 
 
-def _first_failure(a: FDAlgebra, rule, endo: EndoMap):
-    """Tag of the first row of ``rule(a)`` with a nonzero product against the
-    flattened map, or None when the map obeys the rule."""
-    _check_shape(a, endo)
-    f = a.field
+def _failing_tags(f, rows, flat):
+    """Yield the tag of every row with a nonzero product against the
+    vector ``flat``, once per tag and in row order.  The rows of one tag
+    must be adjacent; those after its first failing row are skipped."""
     z = f.zero
-    flat = endo.flatten()
-    for tag, cols, coeffs in rule(a):
+    failed = None
+    for tag, cols, coeffs in rows:
+        if tag == failed:
+            continue
         acc = z
         for c, x in zip(cols, coeffs):
             v = flat[c]
             if v != z:
                 acc = f.add(acc, f.mul(x, v))
         if acc != z:
-            return tag
-    return None
+            failed = tag
+            yield tag
+
+
+def _first_failure(a: FDAlgebra, rule, endo: EndoMap):
+    """Tag of the first row of ``rule(a)`` with a nonzero product against the
+    flattened map, or None when the map obeys the rule."""
+    _check_shape(a, endo)
+    return next(_failing_tags(a.field, rule(a), endo.flatten()), None)
 
 
 def derivation_defect(g, endo: EndoMap):

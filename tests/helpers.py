@@ -8,7 +8,9 @@ per-map entry points, independently of the subspace path they check.  The
 elimination references are the library's earlier single-pass forms: the
 Gauss-Jordan loop that scans the pivot row's whole tail, and the oracle's
 solve of every row at once as one dense matrix; the row references are its
-earlier row builders, which scan every tensor entry.
+earlier row builders, which scan every tensor entry; the presentation
+references are its earlier checkers, which evaluate every condition on basis
+vectors.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from gmalie.algebra import commutator_span
+from gmalie.algebra import center, commutator_span
+from gmalie.errors import Violation
 from gmalie.gma import center_analysis
 from gmalie.linalg import Matrix, Subspace, kernel
-from gmalie.presentation import extract_lie
-from gmalie.spaces import is_proper, lie_derivation_space
+from gmalie.presentation import PresentationReport, extract_lie
+from gmalie.spaces import EndoMap, is_proper, lie_derivation_space
 
 
 def modp_rank(rows, p) -> int:
@@ -55,7 +58,8 @@ def modp_rank(rows, p) -> int:
 
 def reference_rref_mod_p(data, p):
     """Gauss-Jordan over GF(p) that reads the pivot row's entries column by
-    column for every row it clears; same contract as ``_kernel.rref_mod_p``."""
+    column for every row it clears; same contract as ``_kernel.rref_mod_p``:
+    the rank rows only."""
     rows = [list(r) for r in data]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -92,6 +96,7 @@ def reference_rref_mod_p(data, p):
         r += 1
         if r == nr:
             break
+    del rows[r:]
     return rows, pivots
 
 
@@ -385,3 +390,162 @@ def reference_necessity_on_basis(g) -> bool:
         if reference_criteria_witnesses(g, extract_lie(g, endo))[:2] != (None, None):
             return False
     return True
+
+
+# -- the presentation conditions, element by element --------------------------------
+# The library's earlier presentation checkers: every condition evaluated on
+# basis vectors through the module actions and pairings, instead of reading
+# the library's rows.  The diagonal conditions use the per-pair rule loops.
+
+
+def _vec_add(f, *vecs):
+    out = list(vecs[0])
+    for v in vecs[1:]:
+        for i, x in enumerate(v):
+            out[i] = f.add(out[i], x)
+    return tuple(out)
+
+
+def _vec_sub(f, u, v):
+    return tuple(f.sub(x, y) for x, y in zip(u, v))
+
+
+def _module_compat(module, left, diag, phi, chi):
+    """Basis pairs breaking phi(x.p) = delta(x).p + x.phi(p) - p.chi(x), or
+    the mirror rule from the right; a left pair is located as (x, p), a right
+    pair as (p, x)."""
+    f = module.field
+    if left:
+        algebra, law = module.left, "left_product"
+        act, cross_act = module.act_left, lambda h, p: module.act_right(p, h)
+    else:
+        algebra, law = module.right, "right_product"
+        act, cross_act = lambda x, p: module.act_right(p, x), module.act_left
+    bad = []
+    for i in range(algebra.dim):
+        x = algebra.basis_vector(i)
+        dx = diag.column(i)
+        hx = chi.column(i)
+        for j in range(module.dim):
+            p = module.basis_vector(j)
+            lhs = phi.apply(act(x, p))
+            rhs = _vec_sub(f, _vec_add(f, act(dx, p), act(x, phi.column(j))), cross_act(hx, p))
+            if lhs != rhs:
+                bad.append(Violation(law, (i, j) if left else (j, i)))
+    return bad
+
+
+def _reference_block_report(g, parts, kind, defect, rule, cross):
+    c, f = g.context, g.field
+    _, dm, dn, _ = g.block_dims
+    diagonal = []
+    for side, algebra, on in (("a", c.a, parts.on_a), ("b", c.b, parts.on_b)):
+        where = defect(algebra, EndoMap(on))
+        if where is not None:
+            diagonal.append(Violation(f"{rule}_on_{side}", where))
+    bad = {f"diagonal_{kind}": diagonal, **cross(g, parts)}
+    bad["m_compat"] = _module_compat(
+        c.m, True, parts.on_a, parts.on_m, parts.a_to_center_b
+    ) + _module_compat(c.m, False, parts.on_b, parts.on_m, parts.b_to_center_a)
+    bad["n_compat"] = _module_compat(
+        c.n, False, parts.on_a, parts.on_n, parts.a_to_center_b
+    ) + _module_compat(c.n, True, parts.on_b, parts.on_n, parts.b_to_center_a)
+    pairing = []
+    for i in range(dm):
+        em = c.m.basis_vector(i)
+        fm = parts.on_m.column(i)
+        for j in range(dn):
+            en = c.n.basis_vector(j)
+            gn = parts.on_n.column(j)
+            mn = c.pair_mn_apply(em, en)
+            nm = c.pair_nm_apply(en, em)
+            lhs1 = _vec_sub(f, parts.on_a.apply(mn), parts.b_to_center_a.apply(nm))
+            rhs1 = _vec_add(f, c.pair_mn_apply(em, gn), c.pair_mn_apply(fm, en))
+            if lhs1 != rhs1:
+                pairing.append(Violation("first_block", (i, j)))
+            lhs2 = _vec_sub(f, parts.on_b.apply(nm), parts.a_to_center_b.apply(mn))
+            rhs2 = _vec_add(f, c.pair_nm_apply(gn, em), c.pair_nm_apply(en, fm))
+            if lhs2 != rhs2:
+                pairing.append(Violation("second_block", (i, j)))
+    bad["pairing_compat"] = pairing
+    return PresentationReport(kind, {k: tuple(v) for k, v in bad.items()})
+
+
+def _cross_central(g, parts):
+    c = g.context
+    central, kill = [], []
+    for side, name, cross, source, target in (
+        ("a", "a_to_center_b", parts.a_to_center_b, c.a, c.b),
+        ("b", "b_to_center_a", parts.b_to_center_a, c.b, c.a),
+    ):
+        center_t = center(target)
+        for i in range(cross.cols):
+            if not center_t.contains_vector(cross.column(i)):
+                central.append(Violation(f"{name}_value", (i,)))
+        for idx, w in enumerate(commutator_span(source).basis.entries):
+            if any(cross.apply(w)):
+                kill.append(Violation(f"{side}_commutator", (idx,)))
+    return {"cross_central": central, "cross_kill_commutators": kill}
+
+
+def _cross_zero(g, parts):
+    crosses = (("a_to_center_b", parts.a_to_center_b), ("b_to_center_a", parts.b_to_center_a))
+    nonzero = [
+        Violation(f"{name}_value", (i,))
+        for name, cross in crosses
+        for i in range(cross.cols)
+        if any(cross.column(i))
+    ]
+    return {"cross_zero": nonzero}
+
+
+def reference_lie_parts_report(g, parts):
+    """``check_lie_parts`` as loops over basis vectors."""
+    return _reference_block_report(
+        g, parts, "lie", reference_lie_defect, "bracket_rule", _cross_central
+    )
+
+
+def reference_derivation_parts_report(g, parts):
+    """``check_derivation_parts`` as loops over basis vectors."""
+    return _reference_block_report(
+        g, parts, "derivation", reference_derivation_defect, "product_rule", _cross_zero
+    )
+
+
+def reference_central_parts_report(g, parts):
+    """``check_central_parts`` as loops over basis vectors."""
+    c, f = g.context, g.field
+    da, dm, dn, db = g.block_dims
+    bad = {"kill_commutators": [], "central_pairs": [], "pairing_match": []}
+    zero_a, zero_b = (f.zero,) * da, (f.zero,) * db
+    for idx, w in enumerate(commutator_span(c.a).basis.entries):
+        if parts.a_to_center_a.apply(w) != zero_a:
+            bad["kill_commutators"].append(Violation("a_to_center_a", (idx,)))
+        if parts.a_to_center_b.apply(w) != zero_b:
+            bad["kill_commutators"].append(Violation("a_to_center_b", (idx,)))
+    for idx, w in enumerate(commutator_span(c.b).basis.entries):
+        if parts.b_to_center_a.apply(w) != zero_a:
+            bad["kill_commutators"].append(Violation("b_to_center_a", (idx,)))
+        if parts.b_to_center_b.apply(w) != zero_b:
+            bad["kill_commutators"].append(Violation("b_to_center_b", (idx,)))
+    z_g = center(g.algebra)
+    zero_m, zero_n = (f.zero,) * dm, (f.zero,) * dn
+    for law, count, upper, lower in (
+        ("first_diagonal", da, parts.a_to_center_a, parts.a_to_center_b),
+        ("second_diagonal", db, parts.b_to_center_a, parts.b_to_center_b),
+    ):
+        for i in range(count):
+            if not z_g.contains_vector(g.embed(upper.column(i), zero_m, zero_n, lower.column(i))):
+                bad["central_pairs"].append(Violation(law, (i,)))
+    for i in range(dm):
+        em = c.m.basis_vector(i)
+        for j in range(dn):
+            en = c.n.basis_vector(j)
+            mn = c.pair_mn_apply(em, en)
+            nm = c.pair_nm_apply(en, em)
+            if parts.a_to_center_a.apply(mn) != parts.b_to_center_a.apply(nm):
+                bad["pairing_match"].append(Violation("first_block", (i, j)))
+            if parts.a_to_center_b.apply(mn) != parts.b_to_center_b.apply(nm):
+                bad["pairing_match"].append(Violation("second_block", (i, j)))
+    return PresentationReport("central", {k: tuple(v) for k, v in bad.items()})

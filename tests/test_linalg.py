@@ -31,6 +31,14 @@ def test_rref_dependent_rows():
     assert rank == 1
 
 
+def test_rref_pads_the_rows_past_the_rank_with_zeros():
+    # the eliminations return the rank rows only; rref keeps the input's shape
+    r, rank = rref(Matrix(GF(5), [[0, 0, 0], [1, 2, 3], [2, 4, 0], [3, 1, 4]]))
+    assert r.to_lists() == [[1, 2, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    assert rank == 2
+    assert rref(Matrix(QQ, [[], []]))[0].shape == (2, 0)
+
+
 def test_rref_gf3_hand_elimination():
     r, rank = rref(Matrix(GF(3), [[1, 1], [1, 2]]))
     assert r.to_lists() == [[1, 0], [0, 1]]

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmalie.catalog import load_example
+from gmalie.catalog import EXAMPLE_NAMES, load_example
 from gmalie.constructions import (
     field_algebra,
     matrix_algebra,
@@ -45,7 +45,12 @@ from gmalie.spaces import (
     lie_derivation_space,
 )
 
-from helpers import reference_criteria_witnesses
+from helpers import (
+    reference_central_parts_report,
+    reference_criteria_witnesses,
+    reference_derivation_parts_report,
+    reference_lie_parts_report,
+)
 
 
 def _e11(f, n):
@@ -554,6 +559,54 @@ PINNED_REPORTS = {
 }
 
 
+CENTRAL_CONDITIONS = ("kill_commutators", "central_pairs", "pairing_match")
+CENTRAL_BUMPED = ("a_to_center_a", "b_to_center_a", "a_to_center_b", "b_to_center_b")
+
+# (example, bumped component) -> the nonempty conditions of the central
+# report, as above; the base presentation is that of the sum of the basis
+# central maps.
+PINNED_CENTRAL_REPORTS = {
+    ("mat2_GF3_peirce", "a_to_center_a"): {
+        "central_pairs": [("first_diagonal", (0,))],
+        "pairing_match": [("first_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "b_to_center_a"): {
+        "central_pairs": [("second_diagonal", (0,))],
+        "pairing_match": [("first_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "a_to_center_b"): {
+        "central_pairs": [("first_diagonal", (0,))],
+        "pairing_match": [("second_block", (0, 0))],
+    },
+    ("mat2_GF3_peirce", "b_to_center_b"): {
+        "central_pairs": [("second_diagonal", (0,))],
+        "pairing_match": [("second_block", (0, 0))],
+    },
+    ("mat3_GF3_peirce", "a_to_center_a"): {
+        "central_pairs": [("first_diagonal", (0,))],
+        "pairing_match": [("first_block", (0, 0)), ("first_block", (1, 1))],
+    },
+    ("mat3_GF3_peirce", "b_to_center_a"): {
+        "kill_commutators": [("b_to_center_a", (0,))],
+        "central_pairs": [("second_diagonal", (0,))],
+        "pairing_match": [("first_block", (0, 0))],
+    },
+    ("mat3_GF3_peirce", "a_to_center_b"): {
+        "central_pairs": [("first_diagonal", (0,))],
+        "pairing_match": [("second_block", (0, 0)), ("second_block", (1, 1))],
+    },
+    ("mat3_GF3_peirce", "b_to_center_b"): {
+        "kill_commutators": [("b_to_center_b", (0,))],
+        "central_pairs": [("second_diagonal", (0,))],
+        "pairing_match": [("second_block", (0, 0))],
+    },
+    ("example_sec4", "a_to_center_a"): {"central_pairs": [("first_diagonal", (0,))]},
+    ("example_sec4", "b_to_center_a"): {"central_pairs": [("second_diagonal", (0,))]},
+    ("example_sec4", "a_to_center_b"): {"central_pairs": [("first_diagonal", (0,))]},
+    ("example_sec4", "b_to_center_b"): {"central_pairs": [("second_diagonal", (0,))]},
+}
+
+
 def _bumped(f, parts, component):
     value = getattr(parts, component)
     if isinstance(value, tuple):
@@ -592,6 +645,18 @@ def test_perturbed_presentation_reports_are_pinned(example):
             assert got == [(k, pinned.get(k, [])) for k in conditions], (kind, component)
 
 
+@pytest.mark.parametrize("example", ["mat2_GF3_peirce", "mat3_GF3_peirce", "example_sec4"])
+def test_perturbed_central_reports_are_pinned(example):
+    g = load_example(example).assembled("G")
+    base = extract_central(g, _sum_of_basis(g, central_map_space(g)))
+    assert check_central_parts(g, base).ok
+    for component in CENTRAL_BUMPED:
+        report = check_central_parts(g, _bumped(g.field, base, component))
+        pinned = PINNED_CENTRAL_REPORTS[(example, component)]
+        got = [(k, [(v.law, v.where) for v in vs]) for k, vs in report.violations.items()]
+        assert got == [(k, pinned.get(k, [])) for k in CENTRAL_CONDITIONS], component
+
+
 def test_derivation_check_flags_nonzero_cross_maps():
     g, endo = _sec4()
     report = check_derivation_parts(g, extract_lie(g, endo))
@@ -604,3 +669,57 @@ def test_derivation_check_flags_nonzero_cross_maps():
     assert check_lie_parts(g, extract_lie(g, endo)).ok
     with pytest.raises(PreconditionError, match="not a derivation"):
         extract_derivation(g, endo)
+
+
+@lru_cache(maxsize=None)
+def _report_contexts():
+    """The six examples, then the contexts of the GF(3) and QQ fuzz slices
+    whose algebras the rule pins use."""
+    out = []
+    for name in EXAMPLE_NAMES:
+        ws = load_example(name)
+        out.append(ws.assembled(ws.sole_context_name()))
+    for f in (GF(3), QQ):
+        contexts = generate_contexts(FuzzConfig(seed=1, count=30, field=f))
+        out.extend(assemble(ctx) for _, ctx in contexts)
+    return tuple(out)
+
+
+# the components the Lie and derivation conditions read: all but the shifts
+LIE_COMPONENTS = ("on_a", "on_b", "on_m", "on_n", "a_to_center_b", "b_to_center_a")
+REPORT_CASES = {
+    "lie": (check_lie_parts, reference_lie_parts_report, lie_derivation_space),
+    "derivation": (check_derivation_parts, reference_derivation_parts_report, derivation_space),
+    "central": (check_central_parts, reference_central_parts_report, central_map_space),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reports_agree_with_the_element_wise_loops(data):
+    g = data.draw(st.sampled_from(_report_contexts()))
+    kind = data.draw(st.sampled_from(sorted(REPORT_CASES)))
+    check, reference, space = REPORT_CASES[kind]
+    f = g.field
+    endo = data.draw(st.sampled_from(space(g).basis_maps() + (EndoMap.zero(f, g.algebra.dim),)))
+    parts = extract_central(g, endo) if kind == "central" else _read_lie_parts(g, endo)
+    entries = st.integers(-2, 2).map(f.of)
+    changed = {}
+    for name in CENTRAL_BUMPED if kind == "central" else LIE_COMPONENTS:
+        mat = getattr(parts, name)
+        if not mat.rows or not mat.cols:
+            continue
+        if data.draw(st.booleans()):
+            # a random component
+            rows = [[data.draw(entries) for _ in range(mat.cols)] for _ in range(mat.rows)]
+        else:
+            rows = mat.to_lists()
+            for _ in range(data.draw(st.integers(0, 2))):
+                r = data.draw(st.integers(0, mat.rows - 1))
+                c = data.draw(st.integers(0, mat.cols - 1))
+                rows[r][c] = f.add(rows[r][c], data.draw(entries))
+        changed[name] = Matrix(f, rows, cols=mat.cols)
+    parts = replace(parts, **changed)
+    got, expected = check(g, parts), reference(g, parts)
+    assert got.kind == expected.kind
+    assert list(got.violations.items()) == list(expected.violations.items())

@@ -6,7 +6,7 @@ import pytest
 import gmalie.gma
 import gmalie.presentation
 import gmalie.spaces
-from gmalie.algebra import FDAlgebra
+from gmalie.algebra import FDAlgebra, _facts
 from gmalie.catalog import load_example
 from gmalie.constructions import (
     dual_numbers,
@@ -399,7 +399,13 @@ def test_necessity_fails_when_the_projected_centers_are_zero(name, monkeypatch):
         return replace(an, proj_a=Subspace.zero(h.field, da), proj_b=Subspace.zero(h.field, db))
 
     _patch_every_binding(monkeypatch, original, zero_projections)
-    assert _necessity(g) is TriState.FAILS
+    # the criteria rows are memoized per context: build them again from the
+    # patched projections, and drop those rows afterwards
+    _facts.cache_clear()
+    try:
+        assert _necessity(g) is TriState.FAILS
+    finally:
+        _facts.cache_clear()
 
 
 def test_necessity_scan_matches_the_per_map_reference():
