@@ -9,6 +9,7 @@ Elements are coordinate columns (tuples) in the fixed basis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, wraps
 from typing import NamedTuple
@@ -178,8 +179,11 @@ def _bilinear(f, tensor, x, y, out_dim) -> tuple:
 def structure_violations(field, dim, structure, unit, cap=8):
     """Unit-law and associativity violations of a structure tensor.
 
-    Stops collecting after ``cap`` entries; an empty list means valid.
+    Stops collecting after ``cap`` entries, or never when ``cap`` is None;
+    an empty list means valid.
     """
+    if cap is None:
+        cap = math.inf
     f = field
     z = f.zero
     bad = []

@@ -18,7 +18,15 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import Matrix, Subspace, solve
-from .morita import Bimodule, MoritaContext, left_action_kernel, right_action_kernel, validate_context
+from .morita import (
+    Bimodule,
+    MoritaContext,
+    context_laws,
+    gma_structure_tensor,
+    gma_unit,
+    left_action_kernel,
+    right_action_kernel,
+)
 
 __all__ = [
     "GMAlgebra",
@@ -97,78 +105,17 @@ class GMAlgebra:
         return (z,) * (da + dm) + tuple(n) + (z,) * db
 
 
-def gma_structure_tensor(c: MoritaContext):
-    """Structure tensor of the 2x2 block product over the (A, M, N, B) basis.
-
-    Exposed separately so tests can inspect tensors of deliberately corrupted
-    contexts without constructing a validated algebra.
-    """
-    f = c.field
-    da, dm, dn, db = c.block_dims
-    d = da + dm + dn + db
-    z = f.zero
-
-    def blocks_of(i):
-        if i < da:
-            return ("a", i)
-        if i < da + dm:
-            return ("m", i - da)
-        if i < da + dm + dn:
-            return ("n", i - da - dm)
-        return ("b", i - da - dm - dn)
-
-    def emb(kind, vec):
-        out = [z] * d
-        base = {"a": 0, "m": da, "n": da + dm, "b": da + dm + dn}[kind]
-        for t, x in enumerate(vec):
-            out[base + t] = x
-        return tuple(out)
-
-    zero_row = (z,) * d
-    tensor = []
-    for i in range(d):
-        ki, ii = blocks_of(i)
-        plane = []
-        for j in range(d):
-            kj, jj = blocks_of(j)
-            pair = ki + kj
-            if pair == "aa":
-                row = emb("a", c.a.structure[ii][jj])
-            elif pair == "am":
-                row = emb("m", c.m.left_action[ii][jj])
-            elif pair == "mb":
-                row = emb("m", c.m.right_action[ii][jj])
-            elif pair == "mn":
-                row = emb("a", c.pair_mn[ii][jj])
-            elif pair == "na":
-                row = emb("n", c.n.right_action[ii][jj])
-            elif pair == "nm":
-                row = emb("b", c.pair_nm[ii][jj])
-            elif pair == "bn":
-                row = emb("n", c.n.left_action[ii][jj])
-            elif pair == "bb":
-                row = emb("b", c.b.structure[ii][jj])
-            else:
-                row = zero_row
-            plane.append(row)
-        tensor.append(tuple(plane))
-    return tuple(tensor)
-
-
 def assemble(c: MoritaContext) -> GMAlgebra:
-    """Build the generalized matrix algebra of a validated context.
+    """Build the generalized matrix algebra of a context.
 
-    The block product encodes the Morita axioms, so the assembled tensor
-    passes the associativity validation exactly when the context is valid.
+    The block product is associative with unit 1_A + 1_B exactly when the
+    context is valid, so the algebra's own check validates the context; a
+    failure is re-raised with the context laws it breaks.
     """
-    bad = validate_context(c)
-    if bad:
-        raise ValidationFailure("invalid Morita context", bad)
-    da, dm, dn, db = c.block_dims
-    d = da + dm + dn + db
-    z = c.field.zero
-    unit = tuple(c.a.unit) + (z,) * (dm + dn) + tuple(c.b.unit)
-    algebra = FDAlgebra(c.field, d, gma_structure_tensor(c), unit)
+    try:
+        algebra = FDAlgebra(c.field, sum(c.block_dims), gma_structure_tensor(c), gma_unit(c))
+    except ValidationFailure as exc:
+        raise ValidationFailure("invalid Morita context", context_laws(c, exc.violations)) from exc
     return GMAlgebra(context=c, algebra=algebra)
 
 

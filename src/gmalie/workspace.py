@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, ValidationFailure
 from .fields import Field, field_from_doc
 from .gma import GMAlgebra, assemble
 from .linalg import Matrix
-from .morita import Bimodule, MoritaContext, validate_bimodule, validate_context
+from .morita import Bimodule, MoritaContext, validate_bimodule
 
 __all__ = [
     "Workspace",
@@ -46,23 +46,21 @@ class MapEntry:
 class Workspace:
     """Validated contents of one workspace document."""
 
-    def __init__(self, field, algebras, bimodules, contexts, maps, source="<doc>"):
+    def __init__(self, field, algebras, bimodules, assembled, maps, source="<doc>"):
         self.field = field
         self.algebras = algebras
         self.bimodules = bimodules
-        self.contexts = contexts
+        self.contexts = {name: g.context for name, g in assembled.items()}
         self.maps = maps
         self.source = source
-        self._assembled = {}
+        self._assembled = assembled
 
     def context(self, name: str) -> MoritaContext:
-        if name not in self.contexts:
-            raise KeyError(f"no context named {name!r} in {self.source}")
-        return self.contexts[name]
+        return self.assembled(name).context
 
     def assembled(self, name: str) -> GMAlgebra:
         if name not in self._assembled:
-            self._assembled[name] = assemble(self.context(name))
+            raise KeyError(f"no context named {name!r} in {self.source}")
         return self._assembled[name]
 
     def sole_context_name(self) -> str:
@@ -184,7 +182,7 @@ def parse_workspace(doc: dict, source: str = "<doc>") -> Workspace:
             raise ValidationFailure(f"{path}: module axiom violated", bad)
         bimodules[name] = mod
 
-    contexts = {}
+    assembled = {}
     for name, path, entry in _entries(doc, "contexts", source, {}):
         a = algebra_ref(entry, "a", path)
         b = algebra_ref(entry, "b", path)
@@ -199,10 +197,10 @@ def parse_workspace(doc: dict, source: str = "<doc>") -> Workspace:
             ctx = MoritaContext(a, b, bimodules[m_ref], bimodules[n_ref], pair_mn, pair_nm)
         except DimensionMismatch as exc:
             raise ValidationFailure(f"{path}: {exc}") from exc
-        bad = validate_context(ctx)
-        if bad:
-            raise ValidationFailure(f"{path}: context identity violated", bad)
-        contexts[name] = ctx
+        try:
+            assembled[name] = assemble(ctx)
+        except ValidationFailure as exc:
+            raise ValidationFailure(f"{path}: context identity violated", exc.violations) from exc
 
     maps = {}
     for name, path, entry in _entries(doc, "maps", source, {}):
@@ -215,10 +213,9 @@ def parse_workspace(doc: dict, source: str = "<doc>") -> Workspace:
         matrix = _parse_matrix(field, _expect(entry, "matrix", list, path), f"{path}.matrix")
         if has_ctx:
             ref = _expect(entry, "context", str, path)
-            if ref not in contexts:
+            if ref not in assembled:
                 raise ValidationFailure(f"{path}.context: unknown context {ref!r}")
-            dims = contexts[ref].block_dims
-            target_dim = sum(dims)
+            target_dim = assembled[ref].algebra.dim
             kind = "context"
         else:
             ref = _expect(entry, "algebra", str, path)
@@ -233,7 +230,7 @@ def parse_workspace(doc: dict, source: str = "<doc>") -> Workspace:
             )
         maps[name] = MapEntry(kind, ref, matrix)
 
-    return Workspace(field, algebras, bimodules, contexts, maps, source)
+    return Workspace(field, algebras, bimodules, assembled, maps, source)
 
 
 def load_workspace(path: str) -> Workspace:
@@ -242,6 +239,8 @@ def load_workspace(path: str) -> Workspace:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ValidationFailure(f"{path}: parse error at line {exc.lineno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValidationFailure(f"{path}: unreadable ({type(exc).__name__}: {exc})") from exc
     return parse_workspace(doc, source=path)
 
 

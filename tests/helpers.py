@@ -10,7 +10,8 @@ Gauss-Jordan loop that scans the pivot row's whole tail, and the oracle's
 solve of every row at once as one dense matrix; the row references are its
 earlier row builders, which scan every tensor entry; the presentation
 references are its earlier checkers, which evaluate every condition on basis
-vectors.
+vectors; the context references are its earlier validators, which check each
+module, pairing and diagram law on basis tuples.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
+import gmalie.algebra
+import gmalie.morita
 from gmalie.algebra import center, commutator_span
 from gmalie.errors import Violation
 from gmalie.gma import center_analysis
@@ -549,3 +552,85 @@ def reference_central_parts_report(g, parts):
             if parts.a_to_center_b.apply(mn) != parts.b_to_center_b.apply(nm):
                 bad["pairing_match"].append(Violation("second_block", (i, j)))
     return PresentationReport("central", {k: tuple(v) for k, v in bad.items()})
+
+
+def reference_bimodule_violations(m) -> list:
+    """The five module axiom families of a bimodule, each checked on all
+    basis tuples by acting with basis vectors."""
+    bad = []
+    a, b = m.left, m.right
+    for j in range(m.dim):
+        ej = m.basis_vector(j)
+        if m.act_left(a.unit, ej) != ej:
+            bad.append(Violation("module_left_unit", (j,)))
+        if m.act_right(ej, b.unit) != ej:
+            bad.append(Violation("module_right_unit", (j,)))
+    for i, i2, j in itertools.product(range(a.dim), range(a.dim), range(m.dim)):
+        ei, ei2, ej = a.basis_vector(i), a.basis_vector(i2), m.basis_vector(j)
+        if m.act_left(a.multiply(ei, ei2), ej) != m.act_left(ei, m.act_left(ei2, ej)):
+            bad.append(Violation("module_left_assoc", (i, i2, j)))
+    for j, i, i2 in itertools.product(range(m.dim), range(b.dim), range(b.dim)):
+        ej, ei, ei2 = m.basis_vector(j), b.basis_vector(i), b.basis_vector(i2)
+        if m.act_right(ej, b.multiply(ei, ei2)) != m.act_right(m.act_right(ej, ei), ei2):
+            bad.append(Violation("module_right_assoc", (j, i, i2)))
+    for i, j, k in itertools.product(range(a.dim), range(m.dim), range(b.dim)):
+        ei, ej, ek = a.basis_vector(i), m.basis_vector(j), b.basis_vector(k)
+        if m.act_right(m.act_left(ei, ej), ek) != m.act_left(ei, m.act_right(ej, ek)):
+            bad.append(Violation("module_balance", (i, j, k)))
+    return bad
+
+
+def reference_context_violations(c) -> list:
+    """Module axioms of both modules, pairing balance and homomorphism laws,
+    and the two associativity diagrams, each checked on all basis tuples."""
+    bad = []
+    bad += [Violation("m." + v.law, v.where) for v in reference_bimodule_violations(c.m)]
+    bad += [Violation("n." + v.law, v.where) for v in reference_bimodule_violations(c.n)]
+    a, b, m, n = c.a, c.b, c.m, c.n
+    da, dm, dn, db = c.block_dims
+
+    for i, j, k in itertools.product(range(da), range(dm), range(dn)):
+        ea, em, en = a.basis_vector(i), m.basis_vector(j), n.basis_vector(k)
+        if c.pair_mn_apply(m.act_left(ea, em), en) != a.multiply(ea, c.pair_mn_apply(em, en)):
+            bad.append(Violation("pair_mn_left_linear", (i, j, k)))
+        if c.pair_mn_apply(em, n.act_right(en, ea)) != a.multiply(c.pair_mn_apply(em, en), ea):
+            bad.append(Violation("pair_mn_right_linear", (j, k, i)))
+    for i, j, k in itertools.product(range(dm), range(db), range(dn)):
+        em, eb, en = m.basis_vector(i), b.basis_vector(j), n.basis_vector(k)
+        if c.pair_mn_apply(m.act_right(em, eb), en) != c.pair_mn_apply(em, n.act_left(eb, en)):
+            bad.append(Violation("pair_mn_balanced", (i, j, k)))
+    for i, j, k in itertools.product(range(db), range(dn), range(dm)):
+        eb, en, em = b.basis_vector(i), n.basis_vector(j), m.basis_vector(k)
+        if c.pair_nm_apply(n.act_left(eb, en), em) != b.multiply(eb, c.pair_nm_apply(en, em)):
+            bad.append(Violation("pair_nm_left_linear", (i, j, k)))
+        if c.pair_nm_apply(en, m.act_right(em, eb)) != b.multiply(c.pair_nm_apply(en, em), eb):
+            bad.append(Violation("pair_nm_right_linear", (j, k, i)))
+    for i, j, k in itertools.product(range(dn), range(da), range(dm)):
+        en, ea, em = n.basis_vector(i), a.basis_vector(j), m.basis_vector(k)
+        if c.pair_nm_apply(n.act_right(en, ea), em) != c.pair_nm_apply(en, m.act_left(ea, em)):
+            bad.append(Violation("pair_nm_balanced", (i, j, k)))
+
+    for i, j, k in itertools.product(range(dm), range(dn), range(dm)):
+        em, en, em2 = m.basis_vector(i), n.basis_vector(j), m.basis_vector(k)
+        if m.act_left(c.pair_mn_apply(em, en), em2) != m.act_right(em, c.pair_nm_apply(en, em2)):
+            bad.append(Violation("diagram_m", (i, j, k)))
+    for i, j, k in itertools.product(range(dn), range(dm), range(dn)):
+        en, em, en2 = n.basis_vector(i), m.basis_vector(j), n.basis_vector(k)
+        if n.act_left(c.pair_nm_apply(en, em), en2) != n.act_right(en, c.pair_mn_apply(em, en2)):
+            bad.append(Violation("diagram_n", (i, j, k)))
+    return bad
+
+
+def record_structure_checks(monkeypatch) -> list:
+    """Patch ``structure_violations`` wherever the library calls it; the
+    returned list collects the structure tensor of every later call."""
+    calls = []
+    original = gmalie.algebra.structure_violations
+
+    def recording(field, dim, structure, unit, *args, **kwargs):
+        calls.append(structure)
+        return original(field, dim, structure, unit, *args, **kwargs)
+
+    for module in (gmalie.algebra, gmalie.morita):
+        monkeypatch.setattr(module, "structure_violations", recording)
+    return calls

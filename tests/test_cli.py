@@ -2,9 +2,12 @@ import json
 
 import pytest
 
-from gmalie.catalog import build_document
+from gmalie.catalog import build_document, load_example
 from gmalie.cli import main
+from gmalie.gma import gma_structure_tensor
 from gmalie.workspace import render_json
+
+from helpers import record_structure_checks
 
 
 def run(capsys, *argv):
@@ -71,6 +74,13 @@ def test_theorems_command(capsys):
     assert doc["lie_derivation_property"] is True
 
 
+def test_theorems_command_checks_the_context_once(capsys, monkeypatch):
+    tensor = gma_structure_tensor(load_example("example_sec4").context("G"))
+    calls = record_structure_checks(monkeypatch)
+    assert run(capsys, "theorems", "--input", "example_sec4", "--format", "json")[0] == 0
+    assert calls.count(tensor) == 1
+
+
 def test_fuzz_command(capsys):
     code, out, _ = run(
         capsys, "fuzz", "--seed", "1", "--count", "8", "--field", "3", "--format", "json"
@@ -105,6 +115,34 @@ def test_validation_failures_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--input", str(bad))
     assert code == 2
     assert "validation failure" in err
+
+
+def test_broken_context_names_the_diagram(capsys, tmp_path):
+    doc = build_document("mat2_GF3_peirce")
+    doc["contexts"]["G"]["pair_mn"] = [[[2]]]
+    bad = tmp_path / "doubled.json"
+    bad.write_text(render_json(doc))
+    code, _, err = run(capsys, "validate", "--input", str(bad))
+    assert code == 2
+    assert f"validation failure: {bad}.contexts.G: context identity violated: diagram_m" in err
+
+
+_UNREADABLE = {
+    "directory": lambda path: path.mkdir(),
+    "not-utf8": lambda path: path.write_bytes(b"\xff\xfe{"),
+    "deep-nesting": lambda path: path.write_text("[" * 100000),
+}
+
+
+@pytest.mark.parametrize("make", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+def test_unreadable_input_exits_two(capsys, tmp_path, make):
+    path = tmp_path / "input"
+    make(path)
+    code, out, err = run(capsys, "validate", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"validation failure: {path}")
+    assert "Traceback" not in err
 
 
 def _set(*path_and_value):

@@ -1,9 +1,14 @@
 import pytest
 
-from gmalie.errors import CharacteristicTwoError, PreconditionError
+import gmalie.fuzzing
+import gmalie.morita
+from gmalie.errors import CharacteristicTwoError, ConsistencyError, PreconditionError
 from gmalie.fields import GF, QQ
 from gmalie.fuzzing import FuzzConfig, fuzz, generate_contexts
-from gmalie.morita import validate_context
+from gmalie.gma import gma_structure_tensor
+from gmalie.morita import MoritaContext, validate_context
+
+from helpers import record_structure_checks
 
 
 def test_generation_is_deterministic():
@@ -82,3 +87,36 @@ def test_negative_count_is_refused():
 def test_negative_budget_and_cap_are_refused(setting):
     with pytest.raises(PreconditionError, match=f"{setting} must be non-negative"):
         generate_contexts(FuzzConfig(seed=1, count=3, **{setting: -1}))
+
+
+def test_fuzz_checks_each_context_once(monkeypatch):
+    config = FuzzConfig(count=6)
+
+    def refuse(*args):
+        raise AssertionError("the generator checked a context")
+
+    # the generator builds and checks building blocks only: no context
+    with monkeypatch.context() as patch:
+        patch.setattr(gmalie.morita, "validate_context", refuse)
+        patch.setattr(gmalie.fuzzing, "assemble", refuse)
+        contexts = generate_contexts(config)
+    tensors = [gma_structure_tensor(ctx) for _, ctx in contexts]
+    # a building block can share a context's tensor (M_2 and its Peirce
+    # context), so the checks that generation makes are counted apart
+    with monkeypatch.context() as patch:
+        generation = record_structure_checks(patch)
+        generate_contexts(config)
+    calls = record_structure_checks(monkeypatch)
+    fuzz(config)
+    for tensor in tensors:
+        assert calls.count(tensor) == generation.count(tensor) + tensors.count(tensor)
+
+
+def test_an_invalid_generated_context_is_a_consistency_error(monkeypatch):
+    (label, ctx), = generate_contexts(FuzzConfig(count=1))
+    doubled = tuple(tuple(tuple(2 * x for x in row) for row in plane) for plane in ctx.pair_mn)
+    corrupt = MoritaContext(ctx.a, ctx.b, ctx.m, ctx.n, doubled, ctx.pair_nm)
+    assert validate_context(corrupt) != []
+    monkeypatch.setattr(gmalie.fuzzing, "generate_contexts", lambda config: [(label, corrupt)])
+    with pytest.raises(ConsistencyError, match="invalid context"):
+        fuzz(FuzzConfig(count=1))

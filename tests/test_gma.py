@@ -60,8 +60,11 @@ def test_invalid_context_rejected_with_report():
         tuple(tuple(x * 2 for x in row) for row in plane) for plane in ctx.pair_mn
     )
     corrupt = MoritaContext(ctx.a, ctx.b, ctx.m, ctx.n, doubled, ctx.pair_nm)
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match="invalid Morita context: diagram_m") as info:
         assemble(corrupt)
+    laws = [v.law for v in info.value.violations]
+    assert laws[0] == "diagram_m"
+    assert "associativity" not in laws
     # and the raw block tensor is genuinely non-associative
     tensor = gma_structure_tensor(corrupt)
     unit = tuple(ctx.a.unit) + (QQ.zero,) * 2 + tuple(ctx.b.unit)

@@ -1,3 +1,6 @@
+import operator
+import random
+
 import pytest
 
 from gmalie.constructions import (
@@ -17,6 +20,7 @@ from gmalie.fields import GF, QQ
 from gmalie.fuzzing import _catalog
 from gmalie.gma import peirce
 from gmalie.morita import (
+    _LAWS,
     Bimodule,
     MoritaContext,
     _no_annihilating_pair,
@@ -29,6 +33,8 @@ from gmalie.morita import (
     validate_context,
 )
 from gmalie.tristate import TriState
+
+from helpers import reference_bimodule_violations, reference_context_violations
 
 
 def _e11(f, n):
@@ -217,3 +223,72 @@ def test_right_side_checks_are_left_checks_on_the_opposite_module(field):
             one_dimensional_sides += (m.left.dim == 1) + (m.right.dim == 1)
     assert one_dimensional_sides > 0
 
+
+
+_PARTS = ("m.left_action", "m.right_action", "n.left_action", "n.right_action", "pair_mn", "pair_nm")
+
+
+def _replaced(tensor, where, value):
+    i, j, k = where
+    row = tensor[i][j][:k] + (value,) + tensor[i][j][k + 1 :]
+    plane = tensor[i][:j] + (row,) + tensor[i][j + 1 :]
+    return tensor[:i] + (plane,) + tensor[i + 1 :]
+
+
+def _single_entry_corruptions(ctx, rng, count):
+    """``count`` pairs (part, context) where the context differs from ``ctx``
+    in one entry of the action or pairing tensor ``part``, unchecked."""
+    f = ctx.field
+    entries = [
+        (part, (i, j, k))
+        for part in _PARTS
+        for i, plane in enumerate(operator.attrgetter(part)(ctx))
+        for j, row in enumerate(plane)
+        for k in range(len(row))
+    ]
+    for _ in range(count):
+        part, where = entries[rng.randrange(len(entries))]
+        tensors = {p: operator.attrgetter(p)(ctx) for p in _PARTS}
+        i, j, k = where
+        old = tensors[part][i][j][k]
+        shift = rng.randrange(1, f.p) if f.is_prime_field else rng.choice((-2, -1, 1, 2))
+        tensors[part] = _replaced(tensors[part], where, f.add(old, f.of(shift)))
+        m = Bimodule(ctx.a, ctx.b, ctx.m.dim, tensors["m.left_action"], tensors["m.right_action"])
+        n = Bimodule(ctx.b, ctx.a, ctx.n.dim, tensors["n.left_action"], tensors["n.right_action"])
+        yield part, MoritaContext(ctx.a, ctx.b, m, n, tensors["pair_mn"], tensors["pair_nm"])
+
+
+def _laws(violations):
+    return {(v.law, v.where) for v in violations}
+
+
+def test_named_block_product_violations_match_the_element_wise_laws():
+    rng = random.Random(23)
+    checked = invalid = 0
+    context_laws, module_laws = set(), set()
+    for field in (GF(3), GF(5), QQ):
+        contexts = [build() for _, _, build in _catalog(field)]
+        contexts.append(ambient_commutative_context(field))
+        for ctx in contexts:
+            for part, corrupt in _single_entry_corruptions(ctx, rng, 30):
+                found = _laws(validate_context(corrupt))
+                assert found == _laws(reference_context_violations(corrupt))
+                if part.startswith(("m.", "n.")):
+                    m = getattr(corrupt, part[0])
+                    found_m = _laws(validate_bimodule(m))
+                    assert found_m == _laws(reference_bimodule_violations(m))
+                    module_laws |= {law for law, _ in found_m}
+                context_laws |= {law for law, _ in found}
+                checked += 1
+                invalid += bool(found)
+    assert checked >= 1000
+    assert invalid > checked // 2
+    assert context_laws == set(_LAWS.values())
+    assert len(_LAWS) == 18
+    assert module_laws == {
+        "module_left_unit",
+        "module_right_unit",
+        "module_left_assoc",
+        "module_right_assoc",
+        "module_balance",
+    }

@@ -6,7 +6,10 @@ import pytest
 
 from gmalie.catalog import EXAMPLE_NAMES, build_document, load_example
 from gmalie.errors import ValidationFailure
+from gmalie.gma import gma_structure_tensor
 from gmalie.workspace import load_workspace, parse_workspace, render_json
+
+from helpers import record_structure_checks
 
 
 def test_every_bundled_example_loads():
@@ -14,6 +17,22 @@ def test_every_bundled_example_loads():
         ws = load_example(name)
         assert "G" in ws.contexts
         ws.assembled("G")
+
+
+# in a triangular context the module check of M, on (A, M, 0, B), is the
+# context's own block tensor, so only examples with two nonzero modules count
+@pytest.mark.parametrize(
+    "name", ["example_sec4", "mat2_GF3_peirce", "mat3_GF3_peirce", "trivial_QQQ"]
+)
+def test_loading_checks_the_context_once(monkeypatch, name):
+    # the document builds M_n, whose tensor is its Peirce context's
+    doc = build_document(name)
+    calls = record_structure_checks(monkeypatch)
+    ws = parse_workspace(doc)
+    g = ws.assembled("G")
+    assert ws.assembled("G") is g
+    assert ws.context("G") is g.context
+    assert calls.count(gma_structure_tensor(g.context)) == 1
 
 
 def test_bundled_counterexample_shape():
