@@ -114,10 +114,6 @@ class FDAlgebra:
             object.__setattr__(self, "_hash", hash(fields + extra))
         return self.__dict__["_hash"]
 
-    @classmethod
-    def from_tensor(cls, field, structure, unit, **kw):
-        return cls(field, len(structure), structure, unit, **kw)
-
     # -- element operations ----------------------------------------------------
 
     def zero(self) -> tuple:

@@ -5,6 +5,9 @@ the bundled example library and the fuzzer."""
 
 from __future__ import annotations
 
+from itertools import product
+from operator import attrgetter
+
 from .algebra import FDAlgebra
 from .errors import DimensionMismatch
 from .fields import Field
@@ -240,78 +243,28 @@ def direct_sum_context(c1: MoritaContext, c2: MoritaContext) -> MoritaContext:
     if c1.field != c2.field:
         raise DimensionMismatch("direct sum needs a common field")
     f = c1.field
-    a = _direct_sum_algebra(c1.a, c2.a)
-    b = _direct_sum_algebra(c1.b, c2.b)
-    m = _direct_sum_bimodule(a, b, c1.m, c2.m)
-    n = _direct_sum_bimodule(b, a, c1.n, c2.n)
-    pair_mn = _direct_sum_pairing(f, c1.pair_mn, c2.pair_mn,
-                                  (c1.m.dim, c2.m.dim), (c1.n.dim, c2.n.dim),
-                                  (c1.a.dim, c2.a.dim))
-    pair_nm = _direct_sum_pairing(f, c1.pair_nm, c2.pair_nm,
-                                  (c1.n.dim, c2.n.dim), (c1.m.dim, c2.m.dim),
-                                  (c1.b.dim, c2.b.dim))
-    return MoritaContext(a, b, m, n, pair_mn, pair_nm)
+    dims = [dict(zip("amnb", c.block_dims)) for c in (c1, c2)]
 
+    def size(block):
+        return dims[0][block] + dims[1][block]
 
-def _direct_sum_algebra(x: FDAlgebra, y: FDAlgebra) -> FDAlgebra:
-    f = x.field
-    z = f.zero
-    d = x.dim + y.dim
-    tensor = [[[z] * d for _ in range(d)] for _ in range(d)]
-    for i in range(x.dim):
-        for j in range(x.dim):
-            for k in range(x.dim):
-                tensor[i][j][k] = x.structure[i][j][k]
-    for i in range(y.dim):
-        for j in range(y.dim):
-            for k in range(y.dim):
-                tensor[x.dim + i][x.dim + j][x.dim + k] = y.structure[i][j][k]
-    unit = tuple(x.unit) + tuple(y.unit)
-    return FDAlgebra(f, d, tensor, unit)
+    def join(path, axes):
+        """The rank-3 tensor at ``path`` of both contexts as the two diagonal
+        blocks of one tensor, its axes over the blocks named by ``axes``."""
+        shapes = [[d[x] for x in axes] for d in dims]
+        rows, cols, depth = map(size, axes)
+        out = [[[f.zero] * depth for _ in range(cols)] for _ in range(rows)]
+        for c, at, shape in zip((c1, c2), ((0, 0, 0), shapes[0]), shapes):
+            t = attrgetter(path)(c)
+            for i, j, k in product(*map(range, shape)):
+                out[at[0] + i][at[1] + j][at[2] + k] = t[i][j][k]
+        return out
 
-
-def _direct_sum_bimodule(left, right, m1: Bimodule, m2: Bimodule) -> Bimodule:
-    f = left.field
-    z = f.zero
-    dl1, dl2 = m1.left.dim, m2.left.dim
-    dr1, dr2 = m1.right.dim, m2.right.dim
-    dm = m1.dim + m2.dim
-    la = [[[z] * dm for _ in range(dm)] for _ in range(dl1 + dl2)]
-    for i in range(dl1):
-        for j in range(m1.dim):
-            for k in range(m1.dim):
-                la[i][j][k] = m1.left_action[i][j][k]
-    for i in range(dl2):
-        for j in range(m2.dim):
-            for k in range(m2.dim):
-                la[dl1 + i][m1.dim + j][m1.dim + k] = m2.left_action[i][j][k]
-    ra = [[[z] * dm for _ in range(dr1 + dr2)] for _ in range(dm)]
-    for i in range(m1.dim):
-        for j in range(dr1):
-            for k in range(m1.dim):
-                ra[i][j][k] = m1.right_action[i][j][k]
-    for i in range(m2.dim):
-        for j in range(dr2):
-            for k in range(m2.dim):
-                ra[m1.dim + i][dr1 + j][m1.dim + k] = m2.right_action[i][j][k]
-    return Bimodule(left, right, dm, la, ra)
-
-
-def _direct_sum_pairing(f, t1, t2, dims1, dims2, out_dims):
-    z = f.zero
-    d1 = dims1[0] + dims1[1]
-    d2 = dims2[0] + dims2[1]
-    out = out_dims[0] + out_dims[1]
-    tensor = [[[z] * out for _ in range(d2)] for _ in range(d1)]
-    for i in range(dims1[0]):
-        for j in range(dims2[0]):
-            for k in range(out_dims[0]):
-                tensor[i][j][k] = t1[i][j][k]
-    for i in range(dims1[1]):
-        for j in range(dims2[1]):
-            for k in range(out_dims[1]):
-                tensor[dims1[0] + i][dims2[0] + j][out_dims[0] + k] = t2[i][j][k]
-    return tensor
+    a = FDAlgebra(f, size("a"), join("a.structure", "aaa"), c1.a.unit + c2.a.unit)
+    b = FDAlgebra(f, size("b"), join("b.structure", "bbb"), c1.b.unit + c2.b.unit)
+    m = Bimodule(a, b, size("m"), join("m.left_action", "amm"), join("m.right_action", "mbm"))
+    n = Bimodule(b, a, size("n"), join("n.left_action", "bnn"), join("n.right_action", "nan"))
+    return MoritaContext(a, b, m, n, join("pair_mn", "mna"), join("pair_nm", "nmb"))
 
 
 def scale_pairings(c: MoritaContext, factor) -> MoritaContext:

@@ -17,7 +17,7 @@ from .errors import (
     PreconditionError,
     ValidationFailure,
 )
-from .linalg import Matrix, Subspace, solve
+from .linalg import Matrix, Subspace
 from .morita import (
     Bimodule,
     MoritaContext,
@@ -84,26 +84,6 @@ class GMAlgebra:
             raise DimensionMismatch("block coordinate length mismatch")
         return tuple(a) + tuple(m) + tuple(n) + tuple(b)
 
-    def embed_a(self, a) -> tuple:
-        da, dm, dn, db = self.block_dims
-        z = self.field.zero
-        return tuple(a) + (z,) * (dm + dn + db)
-
-    def embed_b(self, b) -> tuple:
-        da, dm, dn, db = self.block_dims
-        z = self.field.zero
-        return (z,) * (da + dm + dn) + tuple(b)
-
-    def embed_m(self, m) -> tuple:
-        da, dm, dn, db = self.block_dims
-        z = self.field.zero
-        return (z,) * da + tuple(m) + (z,) * (dn + db)
-
-    def embed_n(self, n) -> tuple:
-        da, dm, dn, db = self.block_dims
-        z = self.field.zero
-        return (z,) * (da + dm) + tuple(n) + (z,) * db
-
 
 def assemble(c: MoritaContext) -> GMAlgebra:
     """Build the generalized matrix algebra of a context.
@@ -135,10 +115,6 @@ class CenterAnalysis:
     proj_b_is_center_b: bool
     center_iso: Matrix | None
 
-    @property
-    def iso_exists(self) -> bool:
-        return self.center_iso is not None
-
 
 @_memo
 def center_analysis(g: GMAlgebra) -> CenterAnalysis:
@@ -167,7 +143,7 @@ def center_analysis(g: GMAlgebra) -> CenterAnalysis:
     iso = None
     faithful = left_action_kernel(c.m).dim == 0 and right_action_kernel(c.m).dim == 0
     if faithful:
-        iso = _center_iso(g, proj_a, proj_b)
+        iso = _center_iso(g, proj_a, proj_b, a_parts, b_parts)
     return CenterAnalysis(
         center=z_g,
         proj_a=proj_a,
@@ -178,47 +154,15 @@ def center_analysis(g: GMAlgebra) -> CenterAnalysis:
     )
 
 
-def _center_iso(g: GMAlgebra, proj_a: Subspace, proj_b: Subspace) -> Matrix:
-    """Solve a.m = m.phi(a), phi(a).n = n.a for each basis element of the
-    projected center; faithfulness makes the solution unique, and the pair
-    a + phi(a) is central by construction, so phi lands in proj_b."""
-    c = g.context
-    f = g.field
-    da, dm, dn, db = g.block_dims
-    # rows: for each module basis m_j the map b -> m_j.b, and for each
-    # n_j the map b -> b.n_j; stacked into one system over b
-    cols_cache_m = [
-        [c.m.act_right(c.m.basis_vector(j), c.b.basis_vector(i)) for i in range(db)]
-        for j in range(dm)
-    ]
-    cols_cache_n = [
-        [c.n.act_left(c.b.basis_vector(i), c.n.basis_vector(j)) for i in range(db)]
-        for j in range(dn)
-    ]
-    rows = []
-    for j in range(dm):
-        rows.append(Matrix.from_columns(f, cols_cache_m[j], rows=dm))
-    for j in range(dn):
-        rows.append(Matrix.from_columns(f, cols_cache_n[j], rows=dn))
-    if rows:
-        system = Matrix.vstack(f, rows, cols=db)
-    else:
-        system = Matrix.zeros(f, 0, db)
-    image_cols = []
-    for avec in proj_a.basis.entries:
-        rhs = []
-        for j in range(dm):
-            rhs.extend(c.m.act_left(avec, c.m.basis_vector(j)))
-        for j in range(dn):
-            rhs.extend(c.n.act_right(c.n.basis_vector(j), avec))
-        b = solve(system, rhs)
-        if b is None:
-            raise ConsistencyError("projected-center element without a central partner")
-        coords = proj_b.coordinates(b)
-        if coords is None:
-            raise ConsistencyError("center isomorphism image escaped the projected center")
-        image_cols.append(coords)
-    iso = Matrix.from_columns(f, image_cols, rows=proj_b.dim)
+def _center_iso(g: GMAlgebra, proj_a: Subspace, proj_b: Subspace, a_parts, b_parts) -> Matrix:
+    """Read phi off the center's canonical basis.  With M faithful on both
+    sides a central a + b with a = 0 has b = 0, so every basis row has its
+    pivot in the first block, the A-parts are the canonical basis of
+    ``proj_a``, and phi sends the i-th of them to the i-th B-part."""
+    if tuple(a_parts) != proj_a.basis.entries:
+        raise ConsistencyError("center basis has a pivot outside the first diagonal block")
+    cols = [proj_b.coordinates(b) for b in b_parts]
+    iso = Matrix.from_columns(g.field, cols, rows=proj_b.dim)
     _verify_center_iso(g, proj_a, proj_b, iso)
     return iso
 

@@ -440,9 +440,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def basis_vectors(self):
-        return self.basis.entries
-
     def pivot_columns(self):
         """Column of each basis row's leading entry, found once."""
         if self._pivots is None:

@@ -8,9 +8,10 @@ map, rebuilds maps from components, validates the defining conditions of
 each presentation, and evaluates the properness criteria against them.
 A derivation presentation is a Lie presentation whose cross maps are zero.
 
-Extraction reads each component from the image of a block-embedded basis
-element (every component appears alone in some block of some probe);
-probe order is fixed: first-diagonal, second-diagonal, upper, lower.
+Every component is one block of the map's own matrix, so extraction slices
+the blocks out of the map, and rebuilding places them back and adds the
+inner derivation by s = shift_m - shift_n, which fills only the remaining
+blocks.  The conditions and the criteria are rows over the flattened map.
 """
 
 from __future__ import annotations
@@ -115,27 +116,65 @@ class PresentationReport:
         return next((v[0] for v in self.violations.values() if v), None)
 
 
+# -- components as blocks of the map's matrix ------------------------------------
+#
+# Every component is one block of the map's own d x d matrix L, its rows in
+# the target block and its columns in the source block.  ``_layout`` places
+# each block in vec(L), the row-major flattening of L: entry (s, t) of a
+# component sits at start + s * d + t.  Extraction slices the blocks out of
+# vec(L) and rebuilding places them back; the shifts generate the inner
+# derivation x -> [x, s], s = shift_m - shift_n, which fills only the other
+# blocks.
+
+# component, and the blocks of its rows and columns (0 A, 1 M, 2 N, 3 B)
+_LIE_SHAPES = (
+    ("on_a", 0, 0), ("on_b", 3, 3), ("on_m", 1, 1), ("on_n", 2, 2),
+    ("a_to_center_b", 3, 0), ("b_to_center_a", 0, 3),
+)
+_CENTRAL_SHAPES = (
+    ("a_to_center_a", 0, 0), ("b_to_center_a", 0, 3),
+    ("a_to_center_b", 3, 0), ("b_to_center_b", 3, 3),
+)
+# the blocks of L(1_A) = on_a(1_A) + [1_A, s] + a_to_center_b(1_A) that
+# hold the shifts
+_SHIFT_SHAPES = (("shift_m", 1, 0), ("shift_n", 2, 0))
+
+
+def _layout(g: GMAlgebra, shapes) -> dict:
+    """Component -> (start, stride, rows, cols) of its block in vec(L)."""
+    d, offsets, dims = g.algebra.dim, g.offsets, g.block_dims
+    return {name: (offsets[r] * d + offsets[c], d, dims[r], dims[c]) for name, r, c in shapes}
+
+
+def _slices(g: GMAlgebra, flat, shapes) -> dict:
+    """Component -> its block of the map whose flattening is ``flat``."""
+    return {
+        name: Matrix(g.field, [flat[at + s * d : at + s * d + cols] for s in range(rows)], cols)
+        for name, (at, d, rows, cols) in _layout(g, shapes).items()
+    }
+
+
+def _flat(g: GMAlgebra, parts, shapes) -> tuple:
+    """vec(L) of the map with the components of ``parts`` as its blocks,
+    each checked against its shape, and zero elsewhere."""
+    flat = [g.field.zero] * g.algebra.dim**2
+    for name, (at, d, rows, cols) in _layout(g, shapes).items():
+        mat = getattr(parts, name)
+        if mat.rows != rows or mat.cols != cols or mat.field != g.field:
+            raise DimensionMismatch(f"component {name} must be {rows}x{cols}")
+        for s, row in enumerate(mat.entries):
+            flat[at + s * d : at + s * d + cols] = row
+    return tuple(flat)
+
+
 # -- extraction -----------------------------------------------------------------
 
 
 def _read_lie_parts(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
-    c, f = g.context, g.field
-    da, dm, dn, db = g.block_dims
-    a_imgs = [g.project(endo.apply(g.embed_a(c.a.basis_vector(i)))) for i in range(da)]
-    b_imgs = [g.project(endo.apply(g.embed_b(c.b.basis_vector(i)))) for i in range(db)]
-    m_imgs = [g.project(endo.apply(g.embed_m(c.m.basis_vector(i)))) for i in range(dm)]
-    n_imgs = [g.project(endo.apply(g.embed_n(c.n.basis_vector(i)))) for i in range(dn)]
-    unit_img = g.project(endo.apply(g.embed_a(c.a.unit)))
-    return LiePresentation(
-        on_a=Matrix.from_columns(f, [img[0] for img in a_imgs], rows=da),
-        on_b=Matrix.from_columns(f, [img[3] for img in b_imgs], rows=db),
-        on_m=Matrix.from_columns(f, [img[1] for img in m_imgs], rows=dm),
-        on_n=Matrix.from_columns(f, [img[2] for img in n_imgs], rows=dn),
-        a_to_center_b=Matrix.from_columns(f, [img[3] for img in a_imgs], rows=db),
-        b_to_center_a=Matrix.from_columns(f, [img[0] for img in b_imgs], rows=da),
-        shift_m=unit_img[1],
-        shift_n=unit_img[2],
-    )
+    flat = endo.flatten()
+    unit = g.context.a.unit
+    shifts = {name: m.apply(unit) for name, m in _slices(g, flat, _SHIFT_SHAPES).items()}
+    return LiePresentation(**_slices(g, flat, _LIE_SHAPES), **shifts)
 
 
 def _verified(g: GMAlgebra, endo: EndoMap, parts, matrix_of, check):
@@ -183,9 +222,7 @@ def extract_central(g: GMAlgebra, endo: EndoMap) -> CentralPresentation:
     """Extract the four center-valued components of a central map."""
     if not is_central_commutator_free(g.algebra, endo):
         raise PreconditionError("map is not central-valued vanishing on commutators")
-    # a central map has the Lie presentation of _central_as_lie
-    lie = _read_lie_parts(g, endo)
-    parts = CentralPresentation(lie.on_a, lie.b_to_center_a, lie.a_to_center_b, lie.on_b)
+    parts = CentralPresentation(**_slices(g, endo.flatten(), _CENTRAL_SHAPES))
     return _verified(g, endo, parts, _central_matrix, check_central_parts)
 
 
@@ -193,46 +230,17 @@ def extract_central(g: GMAlgebra, endo: EndoMap) -> CentralPresentation:
 
 
 def _lie_matrix(g: GMAlgebra, parts: LiePresentation) -> Matrix:
-    c, f, p = g.context, g.field, parts
-    sm, sn = p.shift_m, p.shift_n
-    mn, nm = c.pair_mn_apply, c.pair_nm_apply
-
-    def neg(v):
-        return tuple(f.neg(x) for x in v)
-
-    cols = []
-    for t in range(c.a.dim):
-        e = c.a.basis_vector(t)
-        m, n = c.m.act_left(e, sm), c.n.act_right(sn, e)
-        cols.append(g.embed(p.on_a.column(t), m, n, p.a_to_center_b.column(t)))
-    for t in range(c.m.dim):
-        e = c.m.basis_vector(t)
-        cols.append(g.embed(neg(mn(e, sn)), p.on_m.column(t), c.n.zero(), nm(sn, e)))
-    for t in range(c.n.dim):
-        e = c.n.basis_vector(t)
-        cols.append(g.embed(neg(mn(sm, e)), c.m.zero(), p.on_n.column(t), nm(e, sm)))
-    for t in range(c.b.dim):
-        e = c.b.basis_vector(t)
-        m, n = neg(c.m.act_right(sm, e)), neg(c.n.act_left(e, sn))
-        cols.append(g.embed(p.b_to_center_a.column(t), m, n, p.on_b.column(t)))
-    return Matrix.from_columns(f, cols, rows=g.algebra.dim)
-
-
-def _central_as_lie(g: GMAlgebra, parts: CentralPresentation) -> LiePresentation:
-    """The Lie presentation, with zero module maps and shifts, of the map
-    that ``parts`` present."""
-    f = g.field
-    _, dm, dn, _ = g.block_dims
-    on_m, on_n = Matrix.zeros(f, dm, dm), Matrix.zeros(f, dn, dn)
-    p = parts
-    return LiePresentation(
-        p.a_to_center_a, p.b_to_center_b, on_m, on_n, p.a_to_center_b, p.b_to_center_a,
-        (f.zero,) * dm, (f.zero,) * dn,
-    )
+    """The placed components plus the inner derivation x -> xs - sx."""
+    f, d = g.field, g.algebra.dim
+    placed = Matrix.from_flat(f, _flat(g, parts, _LIE_SHAPES), d, d)
+    da, _, _, db = g.block_dims
+    s = g.embed((f.zero,) * da, parts.shift_m, tuple(map(f.neg, parts.shift_n)), (f.zero,) * db)
+    return placed + g.algebra.right_mult(s) - g.algebra.left_mult(s)
 
 
 def _central_matrix(g: GMAlgebra, parts: CentralPresentation) -> Matrix:
-    return _lie_matrix(g, _central_as_lie(g, parts))
+    d = g.algebra.dim
+    return Matrix.from_flat(g.field, _flat(g, parts, _CENTRAL_SHAPES), d, d)
 
 
 def _rebuild(g: GMAlgebra, parts, report, matrix_of, holds, what) -> EndoMap:
@@ -264,47 +272,17 @@ def rebuild_central(g: GMAlgebra, parts: CentralPresentation) -> EndoMap:
 # -- conditions as tagged rows -------------------------------------------------------
 #
 # Every presentation condition is linear in the components, so each is a
-# tuple of sparse rows (tag, columns, coefficients) over the components,
-# flattened row-major one after another in the order of ``_LIE_SHAPES`` or
-# ``_CENTRAL_SHAPES`` (the shifts enter no condition).  A tag is
-# (condition, Violation), shared by the rows of one basis tuple.  Each group
-# is built once per context, in the order of the element-wise checks it
-# replaced, and read by the rules' evaluator, ``spaces._failing_tags``.
+# tuple of sparse rows (tag, columns, coefficients) over vec(L), the
+# flattened map, reading only the blocks of the components (the shifts
+# enter no condition).  A tag is (condition, Violation), shared by the rows
+# of one basis tuple.  Each group is built once per context, in the order of
+# the element-wise checks it replaced, and read by the rules' evaluator,
+# ``spaces._failing_tags``.
 
-# component, and the blocks of its rows and columns (0 A, 1 M, 2 N, 3 B)
-_LIE_SHAPES = (
-    ("on_a", 0, 0), ("on_b", 3, 3), ("on_m", 1, 1), ("on_n", 2, 2),
-    ("a_to_center_b", 3, 0), ("b_to_center_a", 0, 3),
-)
-_CENTRAL_SHAPES = (
-    ("a_to_center_a", 0, 0), ("b_to_center_a", 0, 3),
-    ("a_to_center_b", 3, 0), ("b_to_center_b", 3, 3),
-)
 _COMPAT = ("m_compat", "n_compat", "pairing_compat")
 _LIE_CONDITIONS = ("diagonal_lie", "cross_central", "cross_kill_commutators", *_COMPAT)
 _DERIVATION_CONDITIONS = ("diagonal_derivation", "cross_zero", *_COMPAT)
 _CENTRAL_CONDITIONS = ("kill_commutators", "central_pairs", "pairing_match")
-
-
-def _layout(g: GMAlgebra, shapes) -> dict:
-    """Component -> (offset, rows, cols) in the flattening."""
-    dims = g.block_dims
-    out, at = {}, 0
-    for name, r, c in shapes:
-        out[name] = (at, dims[r], dims[c])
-        at += dims[r] * dims[c]
-    return out
-
-
-def _flat(g: GMAlgebra, parts, shapes) -> tuple:
-    """The components of ``parts``, each checked against its shape, flattened."""
-    flat = ()
-    for name, (_, rows, cols) in _layout(g, shapes).items():
-        mat = getattr(parts, name)
-        if mat.rows != rows or mat.cols != cols or mat.field != g.field:
-            raise DimensionMismatch(f"component {name} must be {rows}x{cols}")
-        flat += mat.flatten()
-    return flat
 
 
 def _unit(f, n, i, x=None) -> tuple:
@@ -314,15 +292,15 @@ def _unit(f, n, i, x=None) -> tuple:
 
 def _equation(rows, f, tag, dim, terms):
     """Append under ``tag`` the ``dim`` rows of sum U X v = 0 over the
-    ``terms`` (place, U, v): X is the component at ``place``, U a matrix
-    given by its columns (None for the identity) and v a vector."""
+    ``terms`` (place, U, v): X is the component at ``place`` in vec(L), U a
+    matrix given by its columns (None for the identity) and v a vector."""
     z = f.zero
     for k in range(dim):
         row = []
-        for (off, _, cols), u, v in terms:
+        for (at, d, _, _), u, v in terms:
             left = [(k, f.one)] if u is None else [(s, c[k]) for s, c in enumerate(u) if c[k] != z]
             right = [(t, y) for t, y in enumerate(v) if y != z]
-            row += [(off + s * cols + t, f.mul(x, y)) for s, x in left for t, y in right]
+            row += [(at + s * d + t, f.mul(x, y)) for s, x in left for t, y in right]
         _add_row(rows, f, tag, row)
 
 
@@ -406,7 +384,7 @@ def _cross_zero_rows(g: GMAlgebra) -> tuple:
     at = _layout(g, _LIE_SHAPES)
     rows = []
     for name in ("a_to_center_b", "b_to_center_a"):
-        _, dim, cols = at[name]
+        _, _, dim, cols = at[name]
         for i in range(cols):
             tag = ("cross_zero", Violation(f"{name}_value", (i,)))
             _equation(rows, f, tag, dim, [(at[name], None, _unit(f, cols, i))])
@@ -436,7 +414,7 @@ def _central_rows(g: GMAlgebra) -> tuple:
         for r, w in enumerate(commutator_span(source).basis.entries):
             for name in names:
                 tag = ("kill_commutators", Violation(name, (r,)))
-                _equation(rows, f, tag, at[name][1], [(at[name], None, w)])
+                _equation(rows, f, tag, at[name][2], [(at[name], None, w)])
     on_a, on_b = _center_membership(g)
     for law, n, upper, lower in (
         ("first_diagonal", da, "a_to_center_a", "a_to_center_b"),
@@ -571,11 +549,11 @@ _CRITERIA = ("range_a", "range_b", "central_pairs")
 
 @_memo
 def _criteria_rows(g: GMAlgebra) -> tuple:
-    """The properness criteria over the Lie presentation's components: each
-    first-diagonal cross image in ``proj_b``, tagged ("range_a", i); each
-    second-diagonal one in ``proj_a``, ("range_b", j); and, for each (M, N)
-    basis pair (m, n), b_to_center_a(nm) + a_to_center_b(mn) central,
-    ("central_pairs", (i, j))."""
+    """The properness criteria over vec(L), reading only the blocks of the
+    two cross maps: each first-diagonal cross image in ``proj_b``, tagged
+    ("range_a", i); each second-diagonal one in ``proj_a``, ("range_b", j);
+    and, for each (M, N) basis pair (m, n), b_to_center_a(nm) +
+    a_to_center_b(mn) central, ("central_pairs", (i, j))."""
     an = center_analysis(g)
     c, f = g.context, g.field
     at = _layout(g, _LIE_SHAPES)
@@ -585,7 +563,7 @@ def _criteria_rows(g: GMAlgebra) -> tuple:
         ("range_b", "b_to_center_a", an.proj_a),
     ):
         membership = proj.membership_operator().transpose().entries
-        _, dim, cols = at[cross]
+        _, _, dim, cols = at[cross]
         for i in range(cols):
             _equation(rows, f, (name, i), dim, [(at[cross], membership, _unit(f, cols, i))])
     on_a, on_b = _center_membership(g)

@@ -24,8 +24,8 @@ from .algebra import DEFAULT_BUDGET, central_ideal_free, commutator_idempotent_s
 from .errors import CharacteristicTwoError, PreconditionError
 from .gma import GMAlgebra, center_analysis, is_trivial
 from .morita import left_action_kernel, right_action_kernel, strongly_faithful
-from .presentation import _criteria_witnesses, _read_lie_parts
-from .spaces import has_lie_derivation_property, proper_space
+from .presentation import _criteria_rows
+from .spaces import _failing_tags, has_lie_derivation_property, proper_space
 from .tristate import TriState, tri_all, tri_any
 
 DEFAULT_LDP_DIM_CAP = 6
@@ -79,11 +79,13 @@ def _ldp_tristate(algebra, dim_cap: int) -> TriState:
 def _necessity_on_basis(facts) -> TriState:
     """The necessary direction, on every proper map of the assembled
     algebra: both cross-map ranges lie inside the projected centers and the
-    cross-mapped pairings are central pairs.  The criteria are linear in the
-    map, so the basis of the memoized proper space covers every proper map."""
+    cross-mapped pairings are central pairs.  The criteria are rows over the
+    flattened map, linear in it, so the flat basis of the memoized proper
+    space covers every proper map."""
     g = facts.g
-    for endo in proper_space(g).basis_maps():
-        if _criteria_witnesses(g, _read_lie_parts(g, endo)) != (None, None, None):
+    rows = _criteria_rows(g)
+    for vec in proper_space(g).space.basis.entries:
+        if next(_failing_tags(g.field, rows, vec), None) is not None:
             return TriState.FAILS
     return TriState.HOLDS
 

@@ -15,10 +15,6 @@ class TriState(enum.Enum):
     def from_bool(value: bool) -> "TriState":
         return TriState.HOLDS if value else TriState.FAILS
 
-    @property
-    def definite(self) -> bool:
-        return self is not TriState.UNKNOWN
-
     def __bool__(self):
         raise TypeError("TriState has no implicit truth value; compare explicitly")
 

@@ -10,8 +10,9 @@ Gauss-Jordan loop that scans the pivot row's whole tail, and the oracle's
 solve of every row at once as one dense matrix; the row references are its
 earlier row builders, which scan every tensor entry; the presentation
 references are its earlier checkers, which evaluate every condition on basis
-vectors; the context references are its earlier validators, which check each
-module, pairing and diagram law on basis tuples.
+vectors, and its earlier rebuilds, which assemble a map column by column
+through the module actions; the context references are its earlier
+validators, which check each module, pairing and diagram law on basis tuples.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import gmalie.morita
 from gmalie.algebra import center, commutator_span
 from gmalie.errors import Violation
 from gmalie.gma import center_analysis
-from gmalie.linalg import Matrix, Subspace, kernel
-from gmalie.presentation import PresentationReport, extract_lie
+from gmalie.linalg import Matrix, Subspace, kernel, solve
+from gmalie.morita import left_action_kernel, right_action_kernel
+from gmalie.presentation import LiePresentation, PresentationReport, extract_lie
 from gmalie.spaces import EndoMap, is_proper, lie_derivation_space
 
 
@@ -552,6 +554,88 @@ def reference_central_parts_report(g, parts):
             if parts.a_to_center_b.apply(mn) != parts.b_to_center_b.apply(nm):
                 bad["pairing_match"].append(Violation("second_block", (i, j)))
     return PresentationReport("central", {k: tuple(v) for k, v in bad.items()})
+
+
+# -- presentations rebuilt column by column -------------------------------------------
+# The library's earlier rebuild: each column of the map assembled from the
+# components through the module actions and pairings, rather than placing
+# the components as blocks of the matrix and adding the inner derivation by
+# the shifts; and its earlier center isomorphism, solved through the module
+# actions rather than read off the center's basis.
+
+
+def reference_lie_matrix(g, parts):
+    """The map that a Lie presentation presents, one basis column at a time."""
+    c, f, p = g.context, g.field, parts
+    sm, sn = p.shift_m, p.shift_n
+    mn, nm = c.pair_mn_apply, c.pair_nm_apply
+
+    def neg(v):
+        return tuple(f.neg(x) for x in v)
+
+    cols = []
+    for t in range(c.a.dim):
+        e = c.a.basis_vector(t)
+        m, n = c.m.act_left(e, sm), c.n.act_right(sn, e)
+        cols.append(g.embed(p.on_a.column(t), m, n, p.a_to_center_b.column(t)))
+    for t in range(c.m.dim):
+        e = c.m.basis_vector(t)
+        cols.append(g.embed(neg(mn(e, sn)), p.on_m.column(t), c.n.zero(), nm(sn, e)))
+    for t in range(c.n.dim):
+        e = c.n.basis_vector(t)
+        cols.append(g.embed(neg(mn(sm, e)), c.m.zero(), p.on_n.column(t), nm(e, sm)))
+    for t in range(c.b.dim):
+        e = c.b.basis_vector(t)
+        m, n = neg(c.m.act_right(sm, e)), neg(c.n.act_left(e, sn))
+        cols.append(g.embed(p.b_to_center_a.column(t), m, n, p.on_b.column(t)))
+    return Matrix.from_columns(f, cols, rows=g.algebra.dim)
+
+
+def reference_central_matrix(g, parts):
+    """A central presentation rebuilt as the Lie presentation with zero
+    module maps and shifts."""
+    f = g.field
+    _, dm, dn, _ = g.block_dims
+    lie = LiePresentation(
+        parts.a_to_center_a, parts.b_to_center_b, Matrix.zeros(f, dm, dm), Matrix.zeros(f, dn, dn),
+        parts.a_to_center_b, parts.b_to_center_a, (f.zero,) * dm, (f.zero,) * dn,
+    )
+    return reference_lie_matrix(g, lie)
+
+
+def reference_center_iso(g):
+    """None unless M is faithful on both sides; otherwise solve a.m = m.phi(a)
+    and phi(a).n = n.a for each basis element a of the projected center, and
+    give phi over the canonical bases of the two projected centers."""
+    c, f = g.context, g.field
+    if left_action_kernel(c.m).dim or right_action_kernel(c.m).dim:
+        return None
+    an = center_analysis(g)
+    _, dm, dn, db = g.block_dims
+    # for each module basis m_j the map b -> m_j.b, and for each n_j the map
+    # b -> b.n_j, stacked into one system over b
+    blocks = [
+        Matrix.from_columns(
+            f, [c.m.act_right(c.m.basis_vector(j), c.b.basis_vector(i)) for i in range(db)], rows=dm
+        )
+        for j in range(dm)
+    ]
+    blocks += [
+        Matrix.from_columns(
+            f, [c.n.act_left(c.b.basis_vector(i), c.n.basis_vector(j)) for i in range(db)], rows=dn
+        )
+        for j in range(dn)
+    ]
+    system = Matrix.vstack(f, blocks, cols=db) if blocks else Matrix.zeros(f, 0, db)
+    cols = []
+    for avec in an.proj_a.basis.entries:
+        rhs = []
+        for j in range(dm):
+            rhs.extend(c.m.act_left(avec, c.m.basis_vector(j)))
+        for j in range(dn):
+            rhs.extend(c.n.act_right(c.n.basis_vector(j), avec))
+        cols.append(an.proj_b.coordinates(solve(system, rhs)))
+    return Matrix.from_columns(f, cols, rows=an.proj_b.dim)
 
 
 def reference_bimodule_violations(m) -> list:

@@ -64,6 +64,25 @@ def test_proper_on_bundled_map(capsys):
     assert doc["witness"] is None
 
 
+def test_proper_on_a_proper_map(capsys, tmp_path):
+    # ad(e12) + trace on M_2(GF(3)) in the Peirce basis e11, e12, e21, e22:
+    # the criteria build the split into a derivation plus the trace
+    ws = json.loads(render_json(build_document("mat2_GF3_peirce")))
+    matrix = [[1, 0, 1, 1], [2, 0, 0, 1], [0, 0, 0, 0], [1, 0, 2, 1]]
+    ws.setdefault("maps", {})["ad_e12_plus_trace"] = {"context": "G", "matrix": matrix}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    code, out, _ = run(
+        capsys, "proper", "--input", str(path), "--map", "ad_e12_plus_trace", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "proper"
+    assert doc["witness"]["central"] == [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]
+    assert doc["criteria"]["verdict"] == "proper"
+    assert doc["criteria"]["oracle_agrees"] is True
+
+
 def test_theorems_command(capsys):
     code, out, _ = run(capsys, "theorems", "--input", "tri2_Q", "--format", "json")
     assert code == 0

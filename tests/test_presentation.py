@@ -21,7 +21,9 @@ from gmalie.linalg import Matrix
 from gmalie.presentation import (
     CentralPresentation,
     LiePresentation,
+    _central_matrix,
     _criteria_witnesses,
+    _lie_matrix,
     _read_lie_parts,
     central_pair_subalgebra,
     check_central_parts,
@@ -46,9 +48,12 @@ from gmalie.spaces import (
 )
 
 from helpers import (
+    reference_center_iso,
+    reference_central_matrix,
     reference_central_parts_report,
     reference_criteria_witnesses,
     reference_derivation_parts_report,
+    reference_lie_matrix,
     reference_lie_parts_report,
 )
 
@@ -723,3 +728,38 @@ def test_reports_agree_with_the_element_wise_loops(data):
     got, expected = check(g, parts), reference(g, parts)
     assert got.kind == expected.kind
     assert list(got.violations.items()) == list(expected.violations.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_placed_blocks_match_the_column_by_column_rebuild(data):
+    g = data.draw(st.sampled_from(_report_contexts()))
+    f = g.field
+    dims = dict(zip("amnb", g.block_dims))
+    entries = st.integers(-2, 2).map(f.of)
+
+    def matrix(rows, cols):
+        grid = [[data.draw(entries) for _ in range(dims[cols])] for _ in range(dims[rows])]
+        return Matrix(f, grid, cols=dims[cols])
+
+    def vector(block):
+        return tuple(data.draw(entries) for _ in range(dims[block]))
+
+    parts = LiePresentation(
+        matrix("a", "a"), matrix("b", "b"), matrix("m", "m"), matrix("n", "n"),
+        matrix("b", "a"), matrix("a", "b"), vector("m"), vector("n"),
+    )
+    lie = _lie_matrix(g, parts)
+    assert lie == reference_lie_matrix(g, parts)
+    assert _read_lie_parts(g, EndoMap(lie)) == parts
+    central = CentralPresentation(matrix("a", "a"), matrix("a", "b"), matrix("b", "a"), matrix("b", "b"))
+    assert _central_matrix(g, central) == reference_central_matrix(g, central)
+
+
+def test_center_iso_matches_the_module_action_solve():
+    faithful = 0
+    for g in _report_contexts():
+        expected = reference_center_iso(g)
+        assert center_analysis(g).center_iso == expected
+        faithful += expected is not None
+    assert faithful >= 50

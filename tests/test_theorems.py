@@ -371,8 +371,15 @@ def _necessity(g):
 
 @pytest.mark.parametrize("name", ["trivial_QQQ", "example_sec4"])
 def test_theorem_checks_decide_no_single_map(name, monkeypatch):
+    # the necessity scan reads the criteria rows straight off the flat basis
+    # of the proper space, so no presentation is sliced out of a map either
     called = []
-    for fn in (gmalie.spaces.is_proper, gmalie.spaces.lie_defect, gmalie.presentation.extract_lie):
+    for fn in (
+        gmalie.spaces.is_proper,
+        gmalie.spaces.lie_defect,
+        gmalie.presentation.extract_lie,
+        gmalie.presentation._read_lie_parts,
+    ):
 
         def wrapper(*args, _fn=fn, **kwargs):
             called.append(_fn.__name__)
