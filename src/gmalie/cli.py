@@ -25,7 +25,7 @@ from .fields import GF, QQ
 from .fuzzing import FuzzConfig, fuzz
 from .gma import center_analysis, is_trivial
 from .morita import faithfulness
-from .presentation import extract_lie, properness_criteria
+from .presentation import properness_criteria
 from .spaces import (
     EndoMap,
     central_map_space,
@@ -276,8 +276,7 @@ def _cmd_proper(args) -> int:
     g = ws.assembled(entry.target)
     endo = EndoMap(entry.matrix)
     split = is_proper(g, endo)
-    parts = extract_lie(g, endo)
-    crit = properness_criteria(g, parts)
+    crit = properness_criteria(g, endo)
     f = g.field
     doc = {
         "command": "proper",

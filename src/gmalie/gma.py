@@ -17,7 +17,7 @@ from .errors import (
     PreconditionError,
     ValidationFailure,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, rref
 from .morita import (
     Bimodule,
     MoritaContext,
@@ -168,8 +168,6 @@ def _center_iso(g: GMAlgebra, proj_a: Subspace, proj_b: Subspace, a_parts, b_par
 
 
 def _verify_center_iso(g, proj_a, proj_b, iso):
-    from .linalg import rref
-
     if iso.rows != iso.cols:
         raise ConsistencyError("projected centers have different dimensions")
     _, rank = rref(iso)

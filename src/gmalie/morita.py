@@ -18,6 +18,7 @@ from .algebra import (
     FDAlgebra,
     _bilinear,
     _canonical_tensor,
+    _memo,
     _no_annihilating_pair,
     structure_violations,
 )
@@ -247,25 +248,24 @@ def validate_bimodule(m: Bimodule) -> list[Violation]:
 
 
 def _action_kernel(m: Bimodule, algebra: FDAlgebra, act):
-    """Subspace of ``algebra`` annihilating the whole module, where
-    ``act(x, p)`` is the action of x on the module element p."""
-    blocks = []
-    for j in range(m.dim):
-        cols = [act(algebra.basis_vector(i), m.basis_vector(j)) for i in range(algebra.dim)]
-        blocks.append(Matrix.from_columns(m.field, cols, rows=m.dim))
-    if not blocks:
-        return kernel(Matrix.zeros(m.field, 0, algebra.dim))
-    return kernel(Matrix.vstack(m.field, blocks, cols=algebra.dim))
+    """Subspace of ``algebra`` annihilating the whole module: the kernel of
+    x -> (x.p_j)_j, where ``act[i][j]`` is x_i acting on the module basis
+    vector p_j, so row (j, k) holds coordinate k of each x_i.p_j."""
+    dim = range(m.dim)
+    rows = [[act[i][j][k] for i in range(algebra.dim)] for j in dim for k in dim]
+    return kernel(Matrix(m.field, rows, algebra.dim))
 
 
+@_memo
 def left_action_kernel(m: Bimodule):
     """Subspace of the left algebra annihilating the whole module."""
-    return _action_kernel(m, m.left, m.act_left)
+    return _action_kernel(m, m.left, m.left_action)
 
 
+@_memo
 def right_action_kernel(m: Bimodule):
     """Subspace of the right algebra annihilating the whole module."""
-    return _action_kernel(m, m.right, lambda b, p: m.act_right(p, b))
+    return _action_kernel(m, m.right, tuple(zip(*m.right_action)))
 
 
 def strongly_faithful(m: Bimodule, budget: int = DEFAULT_BUDGET) -> TriState:

@@ -5,8 +5,10 @@ on the block algebras, module maps, two cross maps with central values, and
 a pair of off-diagonal shift elements; derivations and central maps have
 the analogous presentations.  This module extracts the components from a
 map, rebuilds maps from components, validates the defining conditions of
-each presentation, and evaluates the properness criteria against them.
-A derivation presentation is a Lie presentation whose cross maps are zero.
+each presentation, and evaluates the properness criteria on a Lie
+derivation's components, each verdict cross-checked by the map's membership
+in the oracle's proper space.  A derivation presentation is a Lie
+presentation whose cross maps are zero.
 
 Every component is one block of the map's own matrix, so extraction slices
 the blocks out of the map, and rebuilding places them back and adds the
@@ -30,7 +32,6 @@ from .algebra import (
 from .errors import ConsistencyError, DimensionMismatch, PreconditionError, Violation
 from .gma import GMAlgebra, center_analysis
 from .linalg import Matrix, Subspace, inverse, kernel
-from .morita import left_action_kernel, right_action_kernel
 from .spaces import (
     EndoMap,
     _add_row,
@@ -39,8 +40,8 @@ from .spaces import (
     is_central_commutator_free,
     is_derivation,
     is_lie_derivation,
-    is_proper,
     lie_defect,
+    proper_space,
 )
 
 __all__ = [
@@ -523,12 +524,12 @@ def companion_central_maps(g: GMAlgebra, parts: LiePresentation):
 
 @dataclass(frozen=True)
 class CriteriaReport:
-    """Evaluation of the properness criteria for extracted components.
+    """Evaluation of the properness criteria for a Lie derivation.
 
     ``verdict`` is "proper" or "not_proper"; it stays None when both
     necessary conditions hold but the module is not faithful (the converse
     direction needs faithfulness).  Whenever a verdict is reached it has
-    been cross-checked against the subspace oracle.
+    been cross-checked by the map's membership in the proper space.
     """
 
     range_a_ok: bool
@@ -586,21 +587,21 @@ def _criteria_witnesses(g: GMAlgebra, parts: LiePresentation) -> tuple:
     return tuple(first.get(name) for name in _CRITERIA)
 
 
-def properness_criteria(g: GMAlgebra, parts: LiePresentation) -> CriteriaReport:
+def properness_criteria(g: GMAlgebra, endo: EndoMap) -> CriteriaReport:
     """Evaluate the cross-map range conditions and the central-pair pairing
-    condition; conclude properness when the module is faithful.
+    condition on the components of the Lie derivation ``endo``; conclude
+    properness when the module is faithful.
 
     A failed necessary condition concludes not-proper unconditionally; the
     proper conclusion additionally builds the explicit decomposition into a
     derivation plus a central map and re-validates it.  Every verdict is
-    compared against the subspace oracle; disagreement raises
-    :class:`ConsistencyError`.
+    compared against membership of ``endo`` in the memoized proper space;
+    disagreement raises :class:`ConsistencyError`.
     """
-    c = g.context
+    parts = extract_lie(g, endo)
     range_a, range_b, pairs = _criteria_witnesses(g, parts)
-    m_faithful = (
-        left_action_kernel(c.m).dim == 0 and right_action_kernel(c.m).dim == 0
-    )
+    # the center isomorphism exists exactly when M is faithful on both sides
+    m_faithful = center_analysis(g).center_iso is not None
 
     verdict = None
     d_map = None
@@ -609,13 +610,11 @@ def properness_criteria(g: GMAlgebra, parts: LiePresentation) -> CriteriaReport:
         verdict = "not_proper"
     elif m_faithful:
         verdict = "proper"
-        d_map, c_map = _build_decomposition(g, parts)
+        d_map, c_map = _build_decomposition(g, parts, endo)
 
     oracle_agrees = None
     if verdict is not None:
-        endo = EndoMap(_lie_matrix(g, parts))
-        oracle = is_proper(g, endo)
-        oracle_agrees = oracle.proper == (verdict == "proper")
+        oracle_agrees = proper_space(g).contains(endo) == (verdict == "proper")
         if not oracle_agrees:
             raise ConsistencyError(
                 f"criteria verdict {verdict!r} disagrees with the subspace oracle"
@@ -635,9 +634,10 @@ def properness_criteria(g: GMAlgebra, parts: LiePresentation) -> CriteriaReport:
     )
 
 
-def _build_decomposition(g: GMAlgebra, parts: LiePresentation):
-    """Derivation + central map splitting, built from the companion maps; each
-    part must satisfy its presentation conditions."""
+def _build_decomposition(g: GMAlgebra, parts: LiePresentation, endo: EndoMap):
+    """Derivation + central map splitting of ``endo``, built from the
+    companion maps of its components ``parts``; each part must satisfy its
+    presentation conditions."""
     f = g.field
     da, _, _, db = g.block_dims
     comp_a, comp_b = companion_central_maps(g, parts)
@@ -666,7 +666,7 @@ def _build_decomposition(g: GMAlgebra, parts: LiePresentation):
     c_map = _rebuild(
         g, c_parts, c_report, _central_matrix, is_central_commutator_free, "central map"
     )
-    if d_map.matrix + c_map.matrix != _lie_matrix(g, parts):
+    if d_map.matrix + c_map.matrix != endo.matrix:
         raise ConsistencyError("decomposition parts do not sum to the map")
     return d_map, c_map
 

@@ -23,7 +23,7 @@ from .algebra import (
     _product_terms,
     commutator_span,
 )
-from .errors import CharacteristicTwoError, DimensionMismatch, PreconditionError
+from .errors import CharacteristicTwoError, ConsistencyError, DimensionMismatch, PreconditionError
 from .gma import GMAlgebra
 from .linalg import Matrix, Subspace, solve, sparse_kernel, subspace_sum
 
@@ -380,8 +380,6 @@ def is_proper(g, endo: EndoMap) -> ProperSplit:
 
 
 def _validate_witness(a, endo, d_map, c_map):
-    from .errors import ConsistencyError
-
     if d_map.matrix + c_map.matrix != endo.matrix:
         raise ConsistencyError("witness parts do not sum to the map")
     if derivation_defect(a, d_map) is not None:
@@ -390,8 +388,13 @@ def _validate_witness(a, endo, d_map, c_map):
         raise ConsistencyError("witness central part violates its conditions")
 
 
+@_memo
+def _has_property(a: FDAlgebra) -> bool:
+    return _proper_space(a).space.contains(_lie_derivation_space(a).space)
+
+
 def has_lie_derivation_property(g) -> bool:
     """Is every Lie derivation proper (containment of the two subspaces)?"""
     a = _algebra_of(g)
     _require_odd(a)
-    return _proper_space(a).space.contains(_lie_derivation_space(a).space)
+    return _has_property(a)

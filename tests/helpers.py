@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -717,4 +718,38 @@ def record_structure_checks(monkeypatch) -> list:
 
     for module in (gmalie.algebra, gmalie.morita):
         monkeypatch.setattr(module, "structure_violations", recording)
+    return calls
+
+
+def patch_every_binding(monkeypatch, fn, replacement):
+    """Replace ``fn`` wherever a gmalie module binds it."""
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "gmalie" or mod_name.startswith("gmalie."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def record_calls(monkeypatch, *targets) -> list:
+    """Wrap each target wherever the library calls it: a function, patched
+    wherever a gmalie module binds it, or a (class, function) pair, patched
+    on the class.  The returned list collects, for every later call, the
+    function's name, the call's arguments and the names of the recorded
+    calls still open around it, outermost first."""
+    calls, open_calls = [], []
+    for target in targets:
+        owner, fn = target if isinstance(target, tuple) else (None, target)
+
+        def wrapper(*args, _fn=fn, **kwargs):
+            calls.append((_fn.__name__, args, tuple(open_calls)))
+            open_calls.append(_fn.__name__)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+
+        if owner is None:
+            patch_every_binding(monkeypatch, fn, wrapper)
+        else:
+            monkeypatch.setattr(owner, fn.__name__, wrapper)
     return calls

@@ -197,9 +197,8 @@ def test_criterion_8_criteria_agree_with_oracle(fuzzed_contexts):
         if not faithful:
             continue
         for endo in lie_derivation_space(g).basis_maps():
-            parts = extract_lie(g, endo)
             # a verdict/oracle mismatch raises ConsistencyError inside
-            crit = properness_criteria(g, parts)
+            crit = properness_criteria(g, endo)
             assert crit.verdict is not None, label
             assert crit.oracle_agrees is True, label
             assert (crit.verdict == "proper") == is_proper(g, endo).proper, label

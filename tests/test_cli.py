@@ -4,10 +4,13 @@ import pytest
 
 from gmalie.catalog import build_document, load_example
 from gmalie.cli import main
-from gmalie.gma import gma_structure_tensor
+from gmalie.gma import center_analysis, gma_structure_tensor
+from gmalie.morita import left_action_kernel, right_action_kernel
+from gmalie.presentation import _lie_matrix, properness_criteria
+from gmalie.spaces import is_proper
 from gmalie.workspace import render_json
 
-from helpers import record_structure_checks
+from helpers import record_calls, record_structure_checks
 
 
 def run(capsys, *argv):
@@ -64,16 +67,29 @@ def test_proper_on_bundled_map(capsys):
     assert doc["witness"] is None
 
 
-def test_proper_on_a_proper_map(capsys, tmp_path):
-    # ad(e12) + trace on M_2(GF(3)) in the Peirce basis e11, e12, e21, e22:
-    # the criteria build the split into a derivation plus the trace
+# ad(e12) + trace on M_2(GF(3)) in the Peirce basis e11, e12, e21, e22, and
+# the map sending e12 to e11 and the rest to zero, which breaks the bracket
+# rule on (e11, e12)
+_PEIRCE_MAPS = {
+    "ad_e12_plus_trace": [[1, 0, 1, 1], [2, 0, 0, 1], [0, 0, 0, 0], [1, 0, 2, 1]],
+    "not_lie": [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+}
+
+
+def _peirce_workspace(tmp_path) -> str:
     ws = json.loads(render_json(build_document("mat2_GF3_peirce")))
-    matrix = [[1, 0, 1, 1], [2, 0, 0, 1], [0, 0, 0, 0], [1, 0, 2, 1]]
-    ws.setdefault("maps", {})["ad_e12_plus_trace"] = {"context": "G", "matrix": matrix}
+    maps = ws.setdefault("maps", {})
+    maps.update({name: {"context": "G", "matrix": m} for name, m in _PEIRCE_MAPS.items()})
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(ws))
+    return str(path)
+
+
+def test_proper_on_a_proper_map(capsys, tmp_path):
+    # the criteria build the split into a derivation plus the trace
+    path = _peirce_workspace(tmp_path)
     code, out, _ = run(
-        capsys, "proper", "--input", str(path), "--map", "ad_e12_plus_trace", "--format", "json"
+        capsys, "proper", "--input", path, "--map", "ad_e12_plus_trace", "--format", "json"
     )
     assert code == 0
     doc = json.loads(out)
@@ -81,6 +97,40 @@ def test_proper_on_a_proper_map(capsys, tmp_path):
     assert doc["witness"]["central"] == [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]
     assert doc["criteria"]["verdict"] == "proper"
     assert doc["criteria"]["oracle_agrees"] is True
+
+
+def test_proper_refuses_a_map_that_is_not_a_lie_derivation(capsys, tmp_path):
+    code, out, err = run(capsys, "proper", "--input", _peirce_workspace(tmp_path), "--map", "not_lie")
+    assert code == 2
+    assert out == ""
+    assert "not a Lie derivation: bracket rule fails on basis pair (0, 1)" in err
+
+
+@pytest.mark.parametrize(
+    "workspace, map_name, rebuilds",
+    [("peirce", "ad_e12_plus_trace", 2), ("example_sec4", "L_paper", 1)],
+)
+def test_proper_decides_each_fact_once(capsys, tmp_path, monkeypatch, workspace, map_name, rebuilds):
+    # one oracle decision; the map is rebuilt once to verify its extraction
+    # and, on a proper verdict, once more for the derivation part; the
+    # criteria read M's faithfulness off the center analysis
+    path = _peirce_workspace(tmp_path) if workspace == "peirce" else workspace
+    calls = record_calls(
+        monkeypatch,
+        is_proper,
+        _lie_matrix,
+        properness_criteria,
+        center_analysis,
+        left_action_kernel,
+        right_action_kernel,
+    )
+    assert run(capsys, "proper", "--input", path, "--map", map_name)[0] == 0
+    names = [name for name, _, _ in calls]
+    assert names.count("is_proper") == 1
+    assert names.count("_lie_matrix") == rebuilds
+    assert names.count("properness_criteria") == 1
+    inside = [name for name, _, around in calls if around[-1:] == ("properness_criteria",)]
+    assert not any(name.endswith("_action_kernel") for name in inside), inside
 
 
 def test_theorems_command(capsys):

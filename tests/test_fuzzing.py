@@ -2,13 +2,22 @@ import pytest
 
 import gmalie.fuzzing
 import gmalie.morita
+from gmalie.algebra import _facts
 from gmalie.errors import CharacteristicTwoError, ConsistencyError, PreconditionError
 from gmalie.fields import GF, QQ
 from gmalie.fuzzing import FuzzConfig, fuzz, generate_contexts
 from gmalie.gma import gma_structure_tensor
-from gmalie.morita import MoritaContext, validate_context
+from gmalie.linalg import Subspace
+from gmalie.morita import (
+    MoritaContext,
+    _action_kernel,
+    left_action_kernel,
+    right_action_kernel,
+    validate_context,
+)
+from gmalie.spaces import _algebra_of, has_lie_derivation_property
 
-from helpers import record_structure_checks
+from helpers import record_calls, record_structure_checks
 
 
 def test_generation_is_deterministic():
@@ -120,3 +129,36 @@ def test_an_invalid_generated_context_is_a_consistency_error(monkeypatch):
     monkeypatch.setattr(gmalie.fuzzing, "generate_contexts", lambda config: [(label, corrupt)])
     with pytest.raises(ConsistencyError, match="invalid context"):
         fuzz(FuzzConfig(count=1))
+
+
+def test_fuzz_decides_each_algebra_and_module_fact_once(monkeypatch):
+    # the containment of the Lie derivations in the proper maps is decided
+    # once per algebra value, and each action kernel once per module value,
+    # however many theorem checks and fuzz steps ask; the caches start
+    # empty for each fuzz call
+    calls = record_calls(
+        monkeypatch,
+        has_lie_derivation_property,
+        (Subspace, Subspace.contains),
+        left_action_kernel,
+        right_action_kernel,
+        _action_kernel,
+    )
+    for field in (GF(3), GF(5), QQ):
+        for seed in (1, 2):
+            _facts.cache_clear()
+            calls.clear()
+            assert fuzz(FuzzConfig(seed=seed, count=6, field=field)).ok
+            asked = [args[0] for name, args, _ in calls if name == "has_lie_derivation_property"]
+            decided = [
+                1 for name, _, around in calls
+                if name == "contains" and around[-1:] == ("has_lie_derivation_property",)
+            ]
+            assert len(asked) > len({_algebra_of(g) for g in asked})
+            assert len(decided) == len({_algebra_of(g) for g in asked})
+            # (side, module) of each kernel asked for and of each one built
+            sides = ("left_action_kernel", "right_action_kernel")
+            asked = [(name, args[0]) for name, args, _ in calls if name in sides]
+            built = [(around[-1], args[0]) for name, args, around in calls if name == "_action_kernel"]
+            assert len(asked) > len(set(asked))
+            assert len(built) == len(set(built)) and set(built) == set(asked)

@@ -202,8 +202,7 @@ def test_companion_maps_fail_on_the_counterexample():
 
 def test_criteria_on_the_counterexample():
     g, endo = _sec4()
-    parts = extract_lie(g, endo)
-    crit = properness_criteria(g, parts)
+    crit = properness_criteria(g, endo)
     assert not crit.range_a_ok and crit.range_a_witness == 1
     assert not crit.range_b_ok and crit.range_b_witness == 1
     assert crit.central_pairs_ok  # zero pairings make this vacuous
@@ -212,11 +211,18 @@ def test_criteria_on_the_counterexample():
     assert crit.oracle_agrees is True
 
 
+def test_criteria_refuse_a_map_that_is_not_a_lie_derivation():
+    g = _mat2_peirce()
+    # e12 -> e11, everything else to zero
+    not_lie = Matrix(g.field, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(PreconditionError, match=r"bracket rule fails on basis pair \(0, 1\)"):
+        properness_criteria(g, EndoMap(not_lie))
+
+
 def test_criteria_on_derivations_have_clean_ranges():
     g = _mat2_peirce()
     for endo in derivation_space(g).basis_maps():
-        parts = extract_lie(g, endo)
-        crit = properness_criteria(g, parts)
+        crit = properness_criteria(g, endo)
         assert crit.range_a_ok and crit.range_b_ok and crit.central_pairs_ok
         assert crit.verdict == "proper"
         assert crit.derivation is not None and crit.central is not None
@@ -225,8 +231,7 @@ def test_criteria_on_derivations_have_clean_ranges():
 def test_criteria_agree_with_oracle_on_peirce_basis():
     g = _mat2_peirce()
     for endo in lie_derivation_space(g).basis_maps():
-        parts = extract_lie(g, endo)
-        crit = properness_criteria(g, parts)
+        crit = properness_criteria(g, endo)
         assert crit.oracle_agrees is True
         split = is_proper(g, endo)
         assert (crit.verdict == "proper") == split.proper

@@ -1,4 +1,3 @@
-import sys
 from dataclasses import replace
 
 import pytest
@@ -33,7 +32,7 @@ from gmalie.theorems import (
 )
 from gmalie.tristate import TriState
 
-from helpers import reference_necessity_on_basis
+from helpers import patch_every_binding, reference_necessity_on_basis
 
 
 def _g(name):
@@ -356,15 +355,6 @@ def test_each_fact_is_evaluated_once_per_context(name, monkeypatch):
     assert sum(v.oracle_agrees is True for v in verdicts) >= 2
 
 
-def _patch_every_binding(monkeypatch, fn, replacement):
-    """Replace ``fn`` wherever a gmalie module binds it."""
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "gmalie" or mod_name.startswith("gmalie."):
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, replacement)
-
-
 def _necessity(g):
     return dict(check_trivial(g).extras)["necessity_on_basis"]
 
@@ -385,7 +375,7 @@ def test_theorem_checks_decide_no_single_map(name, monkeypatch):
             called.append(_fn.__name__)
             return _fn(*args, **kwargs)
 
-        _patch_every_binding(monkeypatch, fn, wrapper)
+        patch_every_binding(monkeypatch, fn, wrapper)
     verdicts = all_theorem_checks(_g(name))
     assert verdicts[-1].check_id == "trivial"
     assert called == []
@@ -405,7 +395,7 @@ def test_necessity_fails_when_the_projected_centers_are_zero(name, monkeypatch):
         da, _, _, db = h.block_dims
         return replace(an, proj_a=Subspace.zero(h.field, da), proj_b=Subspace.zero(h.field, db))
 
-    _patch_every_binding(monkeypatch, original, zero_projections)
+    patch_every_binding(monkeypatch, original, zero_projections)
     # the criteria rows are memoized per context: build them again from the
     # patched projections, and drop those rows afterwards
     _facts.cache_clear()
