@@ -25,7 +25,7 @@ from .fields import GF, QQ
 from .fuzzing import FuzzConfig, fuzz
 from .gma import center_analysis, is_trivial
 from .morita import faithfulness
-from .presentation import properness_criteria
+from .presentation import _criteria
 from .spaces import (
     EndoMap,
     central_map_space,
@@ -275,8 +275,10 @@ def _cmd_proper(args) -> int:
         )
     g = ws.assembled(entry.target)
     endo = EndoMap(entry.matrix)
+    # is_proper refuses a map that is not a Lie derivation; the criteria
+    # then run without repeating that check
     split = is_proper(g, endo)
-    crit = properness_criteria(g, endo)
+    crit = _criteria(g, endo)
     f = g.field
     doc = {
         "command": "proper",

@@ -11,14 +11,17 @@ in the oracle's proper space.  A derivation presentation is a Lie
 presentation whose cross maps are zero.
 
 Every component is one block of the map's own matrix, so extraction slices
-the blocks out of the map, and rebuilding places them back and adds the
-inner derivation by s = shift_m - shift_n, which fills only the remaining
-blocks.  The conditions and the criteria are rows over the flattened map.
+the blocks out of vec(L), the flattened map, and rebuilding places them back
+and adds the inner derivation by s = shift_m - shift_n, which fills only the
+remaining blocks; extraction is verified on vec(L).  The conditions and the
+criteria are rows over vec(L), built and read by ``rows``; the diagonal
+conditions are the block algebras' own rules lifted into vec(L).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, product
 
 from .algebra import (
@@ -32,10 +35,9 @@ from .algebra import (
 from .errors import ConsistencyError, DimensionMismatch, PreconditionError, Violation
 from .gma import GMAlgebra, center_analysis
 from .linalg import Matrix, Subspace, inverse, kernel
+from .rows import bracket_rows, equation, failing_tags, leibniz, lift, product_rows, unit
 from .spaces import (
     EndoMap,
-    _add_row,
-    _failing_tags,
     derivation_defect,
     is_central_commutator_free,
     is_derivation,
@@ -60,6 +62,7 @@ __all__ = [
     "companion_central_maps",
     "CriteriaReport",
     "properness_criteria",
+    "proper_maps_meet_criteria",
     "CentralPairReport",
     "central_pair_subalgebra",
 ]
@@ -178,11 +181,11 @@ def _read_lie_parts(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
     return LiePresentation(**_slices(g, flat, _LIE_SHAPES), **shifts)
 
 
-def _verified(g: GMAlgebra, endo: EndoMap, parts, matrix_of, check):
-    """Return the extracted ``parts`` after checking that they rebuild ``endo``
-    and satisfy their presentation conditions; a failure of either, for a
-    verified input map, indicates an implementation bug."""
-    if matrix_of(g, parts) != endo.matrix:
+def _verified(g: GMAlgebra, endo: EndoMap, parts, flat_of, check):
+    """Return the extracted ``parts`` after checking that they rebuild vec(L)
+    of ``endo`` and satisfy their presentation conditions; a failure of
+    either, for a verified input map, indicates an implementation bug."""
+    if flat_of(g, parts) != endo.flatten():
         raise ConsistencyError("presentation rebuild does not reproduce the map")
     report = check(g, parts)
     if not report.ok:
@@ -201,12 +204,16 @@ def extract_lie(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
     either, for a verified Lie derivation, indicates an implementation bug
     and raises :class:`ConsistencyError`.
     """
+    _require_lie(g, endo)
+    return _verified(g, endo, _read_lie_parts(g, endo), _lie_flat, check_lie_parts)
+
+
+def _require_lie(g: GMAlgebra, endo: EndoMap):
     defect = lie_defect(g.algebra, endo)
     if defect is not None:
         raise PreconditionError(
             f"not a Lie derivation: bracket rule fails on basis pair {defect}"
         )
-    return _verified(g, endo, _read_lie_parts(g, endo), _lie_matrix, check_lie_parts)
 
 
 def extract_derivation(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
@@ -216,7 +223,7 @@ def extract_derivation(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
         raise PreconditionError(
             f"not a derivation: product rule fails on basis pair {defect}"
         )
-    return _verified(g, endo, _read_lie_parts(g, endo), _lie_matrix, check_derivation_parts)
+    return _verified(g, endo, _read_lie_parts(g, endo), _lie_flat, check_derivation_parts)
 
 
 def extract_central(g: GMAlgebra, endo: EndoMap) -> CentralPresentation:
@@ -224,30 +231,31 @@ def extract_central(g: GMAlgebra, endo: EndoMap) -> CentralPresentation:
     if not is_central_commutator_free(g.algebra, endo):
         raise PreconditionError("map is not central-valued vanishing on commutators")
     parts = CentralPresentation(**_slices(g, endo.flatten(), _CENTRAL_SHAPES))
-    return _verified(g, endo, parts, _central_matrix, check_central_parts)
+    return _verified(g, endo, parts, _central_flat, check_central_parts)
 
 
 # -- reconstruction ---------------------------------------------------------------
 
 
-def _lie_matrix(g: GMAlgebra, parts: LiePresentation) -> Matrix:
-    """The placed components plus the inner derivation x -> xs - sx."""
+def _lie_flat(g: GMAlgebra, parts: LiePresentation) -> tuple:
+    """vec(L) of the placed components plus the inner derivation x -> [x, s]."""
     f, d = g.field, g.algebra.dim
-    placed = Matrix.from_flat(f, _flat(g, parts, _LIE_SHAPES), d, d)
+    placed = _flat(g, parts, _LIE_SHAPES)
     da, _, _, db = g.block_dims
     s = g.embed((f.zero,) * da, parts.shift_m, tuple(map(f.neg, parts.shift_n)), (f.zero,) * db)
-    return placed + g.algebra.right_mult(s) - g.algebra.left_mult(s)
+    # entry c*d + r: the e_r coefficient of [e_c, s], entry (r, c) of x -> [x, s]
+    ad = commutation_operator(g.algebra).apply(s)
+    return tuple(f.add(placed[r * d + c], ad[c * d + r]) for r in range(d) for c in range(d))
 
 
-def _central_matrix(g: GMAlgebra, parts: CentralPresentation) -> Matrix:
-    d = g.algebra.dim
-    return Matrix.from_flat(g.field, _flat(g, parts, _CENTRAL_SHAPES), d, d)
+def _central_flat(g: GMAlgebra, parts: CentralPresentation) -> tuple:
+    return _flat(g, parts, _CENTRAL_SHAPES)
 
 
-def _rebuild(g: GMAlgebra, parts, report, matrix_of, holds, what) -> EndoMap:
+def _rebuild(g: GMAlgebra, parts, report, flat_of, holds, what) -> EndoMap:
     """Assemble ``parts``; when ``report`` says their conditions hold, the
     result must have the property ``holds`` tests."""
-    endo = EndoMap(matrix_of(g, parts))
+    endo = EndoMap.from_flat(g.field, flat_of(g, parts), g.algebra.dim)
     if report.ok and not holds(g.algebra, endo):
         raise ConsistencyError(f"valid components rebuilt into a non-{what}")
     return endo
@@ -257,17 +265,17 @@ def rebuild_lie(g: GMAlgebra, parts: LiePresentation) -> EndoMap:
     """Assemble the block formula; when the presentation conditions hold the
     result is verified to satisfy the bracket rule."""
     report = check_lie_parts(g, parts)
-    return _rebuild(g, parts, report, _lie_matrix, is_lie_derivation, "Lie-derivation")
+    return _rebuild(g, parts, report, _lie_flat, is_lie_derivation, "Lie-derivation")
 
 
 def rebuild_derivation(g: GMAlgebra, parts: LiePresentation) -> EndoMap:
     report = check_derivation_parts(g, parts)
-    return _rebuild(g, parts, report, _lie_matrix, is_derivation, "derivation")
+    return _rebuild(g, parts, report, _lie_flat, is_derivation, "derivation")
 
 
 def rebuild_central(g: GMAlgebra, parts: CentralPresentation) -> EndoMap:
     report = check_central_parts(g, parts)
-    return _rebuild(g, parts, report, _central_matrix, is_central_commutator_free, "central map")
+    return _rebuild(g, parts, report, _central_flat, is_central_commutator_free, "central map")
 
 
 # -- conditions as tagged rows -------------------------------------------------------
@@ -277,45 +285,13 @@ def rebuild_central(g: GMAlgebra, parts: CentralPresentation) -> EndoMap:
 # flattened map, reading only the blocks of the components (the shifts
 # enter no condition).  A tag is (condition, Violation), shared by the rows
 # of one basis tuple.  Each group is built once per context, in the order of
-# the element-wise checks it replaced, and read by the rules' evaluator,
-# ``spaces._failing_tags``.
+# the element-wise checks it replaced, and read by ``rows.failing_tags``.  The
+# diagonal conditions are the block algebras' own rules lifted into vec(L).
 
 _COMPAT = ("m_compat", "n_compat", "pairing_compat")
 _LIE_CONDITIONS = ("diagonal_lie", "cross_central", "cross_kill_commutators", *_COMPAT)
 _DERIVATION_CONDITIONS = ("diagonal_derivation", "cross_zero", *_COMPAT)
 _CENTRAL_CONDITIONS = ("kill_commutators", "central_pairs", "pairing_match")
-
-
-def _unit(f, n, i, x=None) -> tuple:
-    """x e_i in F^n, with x = 1 by default."""
-    return tuple((f.one if x is None else x) if t == i else f.zero for t in range(n))
-
-
-def _equation(rows, f, tag, dim, terms):
-    """Append under ``tag`` the ``dim`` rows of sum U X v = 0 over the
-    ``terms`` (place, U, v): X is the component at ``place`` in vec(L), U a
-    matrix given by its columns (None for the identity) and v a vector."""
-    z = f.zero
-    for k in range(dim):
-        row = []
-        for (at, d, _, _), u, v in terms:
-            left = [(k, f.one)] if u is None else [(s, c[k]) for s, c in enumerate(u) if c[k] != z]
-            right = [(t, y) for t, y in enumerate(v) if y != z]
-            row += [(at + s * d + t, f.mul(x, y)) for s, x in left for t, y in right]
-        _add_row(rows, f, tag, row)
-
-
-def _leibniz(rows, f, at, tag, b, out, d1, d2, i, j, extra):
-    """Append the rows of out(b(x_i, y_j)) - b(d1(x_i), y_j) - b(x_i, d2(y_j))
-    + sum(extra) = 0, for the bilinear map with b[i][j] = b(x_i, y_j)."""
-    minus = f.neg(f.one)
-    terms = [
-        (at[out], None, b[i][j]),
-        (at[d1], [by_x[j] for by_x in b], _unit(f, len(b), i, minus)),
-        (at[d2], b[i], _unit(f, len(b[i]), j, minus)),
-        *extra,
-    ]
-    _equation(rows, f, tag, len(b[i][j]), terms)
 
 
 @_memo
@@ -343,18 +319,18 @@ def _compat_rows(g: GMAlgebra) -> tuple:
         law = "left_product" if left else "right_product"
         for i, j in product(range(len(act)), range(module.dim)):
             tag = (condition, Violation(law, (i, j) if left else (j, i)))
-            extra = [(at[chi], [h[j] for h in cross], _unit(f, len(act), i))]
-            _leibniz(rows, f, at, tag, act, phi, delta, phi, i, j, extra)
+            extra = [(at[chi], [h[j] for h in cross], unit(f, len(act), i))]
+            leibniz(rows, f, at, tag, act, phi, delta, phi, i, j, extra)
     P, Q = c.pair_mn, c.pair_nm
     nm_by_m = tuple(zip(*Q))
     for i, j in product(range(len(P)), range(len(Q))):
         neg_mn, neg_nm = (tuple(map(f.neg, v)) for v in (P[i][j], Q[j][i]))
         tag = ("pairing_compat", Violation("first_block", (i, j)))
         extra = [(at["b_to_center_a"], None, neg_nm)]
-        _leibniz(rows, f, at, tag, P, "on_a", "on_m", "on_n", i, j, extra)
+        leibniz(rows, f, at, tag, P, "on_a", "on_m", "on_n", i, j, extra)
         tag = ("pairing_compat", Violation("second_block", (i, j)))
         extra = [(at["a_to_center_b"], None, neg_mn)]
-        _leibniz(rows, f, at, tag, nm_by_m, "on_b", "on_m", "on_n", i, j, extra)
+        leibniz(rows, f, at, tag, nm_by_m, "on_b", "on_m", "on_n", i, j, extra)
     return tuple(rows)
 
 
@@ -370,11 +346,11 @@ def _cross_central_rows(g: GMAlgebra) -> tuple:
         membership = center(target).membership_operator().transpose().entries
         for i in range(source.dim):
             tag = ("cross_central", Violation(f"{name}_value", (i,)))
-            _equation(rows, f, tag, target.dim, [(at[name], membership, _unit(f, source.dim, i))])
+            equation(rows, f, tag, target.dim, [(at[name], membership, unit(f, source.dim, i))])
     for side, name, source, target in crosses:
         for r, w in enumerate(commutator_span(source).basis.entries):
             tag = ("cross_kill_commutators", Violation(f"{side}_commutator", (r,)))
-            _equation(rows, f, tag, target.dim, [(at[name], None, w)])
+            equation(rows, f, tag, target.dim, [(at[name], None, w)])
     return tuple(rows)
 
 
@@ -388,7 +364,7 @@ def _cross_zero_rows(g: GMAlgebra) -> tuple:
         _, _, dim, cols = at[name]
         for i in range(cols):
             tag = ("cross_zero", Violation(f"{name}_value", (i,)))
-            _equation(rows, f, tag, dim, [(at[name], None, _unit(f, cols, i))])
+            equation(rows, f, tag, dim, [(at[name], None, unit(f, cols, i))])
     return tuple(rows)
 
 
@@ -415,16 +391,16 @@ def _central_rows(g: GMAlgebra) -> tuple:
         for r, w in enumerate(commutator_span(source).basis.entries):
             for name in names:
                 tag = ("kill_commutators", Violation(name, (r,)))
-                _equation(rows, f, tag, at[name][2], [(at[name], None, w)])
+                equation(rows, f, tag, at[name][2], [(at[name], None, w)])
     on_a, on_b = _center_membership(g)
     for law, n, upper, lower in (
         ("first_diagonal", da, "a_to_center_a", "a_to_center_b"),
         ("second_diagonal", db, "b_to_center_a", "b_to_center_b"),
     ):
         for i in range(n):
-            e = _unit(f, n, i)
+            e = unit(f, n, i)
             terms = [(at[upper], on_a, e), (at[lower], on_b, e)]
-            _equation(rows, f, ("central_pairs", Violation(law, (i,))), g.algebra.dim, terms)
+            equation(rows, f, ("central_pairs", Violation(law, (i,))), g.algebra.dim, terms)
     for i, j in product(range(dm), range(dn)):
         mn, neg_nm = c.pair_mn[i][j], tuple(map(f.neg, c.pair_nm[j][i]))
         for law, by_mn, by_nm, dim in (
@@ -432,7 +408,7 @@ def _central_rows(g: GMAlgebra) -> tuple:
             ("second_block", "a_to_center_b", "b_to_center_b", db),
         ):
             terms = [(at[by_mn], None, mn), (at[by_nm], None, neg_nm)]
-            _equation(rows, f, ("pairing_match", Violation(law, (i, j))), dim, terms)
+            equation(rows, f, ("pairing_match", Violation(law, (i, j))), dim, terms)
     return tuple(rows)
 
 
@@ -443,44 +419,59 @@ def _report(kind, bad, failing) -> PresentationReport:
     return PresentationReport(kind, {name: tuple(v) for name, v in bad.items()})
 
 
-def _check_block_parts(g, parts, kind, conditions, defect, rule, cross_rows) -> PresentationReport:
-    """The conditions shared by Lie derivations and derivations: ``defect``
-    is the rule the diagonal maps obey (``rule`` in the report), and
-    ``cross_rows`` the conditions on the two cross maps."""
+@_memo
+def _diagonal_rows(g: GMAlgebra) -> tuple:
+    """Each diagonal condition with the block rule it asks of on_a and on_b,
+    lifted into vec(L): the first block's rows, then the second's, tagged
+    (condition, Violation(rule_on_side, basis pair))."""
+    c, d = g.context, g.algebra.dim
+    blocks = (("a", c.a, g.offsets[0]), ("b", c.b, g.offsets[3]))
+    out = []
+    for condition, rule, law in (
+        ("diagonal_lie", bracket_rows, "bracket_rule"),
+        ("diagonal_derivation", product_rows, "product_rule"),
+    ):
+        lifted = tuple(
+            lift(rule(x), x.dim, d, off, partial(_tag, condition, f"{law}_on_{side}"))
+            for side, x, off in blocks
+        )
+        out.append((condition, lifted))
+    return tuple(out)
+
+
+def _tag(condition, law, where) -> tuple:
+    return condition, Violation(law, where)
+
+
+def _check_block_parts(g, parts, kind, conditions, cross_rows) -> PresentationReport:
+    """The conditions shared by Lie derivations and derivations: the first,
+    diagonal, condition reports only the first failing pair per block, and
+    ``cross_rows`` are the conditions on the two cross maps."""
     flat = _flat(g, parts, _LIE_SHAPES)
     if (len(parts.shift_m), len(parts.shift_n)) != g.block_dims[1:3]:
         raise DimensionMismatch("shift element length mismatch")
-    c = g.context
-    bad = {name: [] for name in conditions}
-    for side, algebra, on in (("a", c.a, parts.on_a), ("b", c.b, parts.on_b)):
-        where = defect(algebra, EndoMap(on))
-        if where is not None:
-            bad[conditions[0]].append(Violation(f"{rule}_on_{side}", where))
-    rows = chain(cross_rows(g), _compat_rows(g))
-    return _report(kind, bad, _failing_tags(g.field, rows, flat))
+    f, diagonal = g.field, dict(_diagonal_rows(g))[conditions[0]]
+    firsts = (next(failing_tags(f, rows, flat), None) for rows in diagonal)
+    rest = failing_tags(f, chain(cross_rows(g), _compat_rows(g)), flat)
+    return _report(kind, {name: [] for name in conditions}, chain(filter(None, firsts), rest))
 
 
 def check_lie_parts(g: GMAlgebra, parts: LiePresentation) -> PresentationReport:
     """Check the Lie presentation conditions on all basis tuples."""
-    return _check_block_parts(
-        g, parts, "lie", _LIE_CONDITIONS, lie_defect, "bracket_rule", _cross_central_rows
-    )
+    return _check_block_parts(g, parts, "lie", _LIE_CONDITIONS, _cross_central_rows)
 
 
 def check_derivation_parts(g: GMAlgebra, parts: LiePresentation) -> PresentationReport:
     """Check the derivation presentation conditions on all basis tuples:
     those of a Lie presentation with zero cross maps and the product rule on
     the diagonal maps."""
-    return _check_block_parts(
-        g, parts, "derivation", _DERIVATION_CONDITIONS, derivation_defect, "product_rule",
-        _cross_zero_rows,
-    )
+    return _check_block_parts(g, parts, "derivation", _DERIVATION_CONDITIONS, _cross_zero_rows)
 
 
 def check_central_parts(g: GMAlgebra, parts: CentralPresentation) -> PresentationReport:
     """Check the central presentation: commutators killed, block pairs
     central in the assembled algebra, pairings matched."""
-    failing = _failing_tags(g.field, _central_rows(g), _flat(g, parts, _CENTRAL_SHAPES))
+    failing = failing_tags(g.field, _central_rows(g), _flat(g, parts, _CENTRAL_SHAPES))
     return _report("central", {name: [] for name in _CENTRAL_CONDITIONS}, failing)
 
 
@@ -566,23 +557,23 @@ def _criteria_rows(g: GMAlgebra) -> tuple:
         membership = proj.membership_operator().transpose().entries
         _, _, dim, cols = at[cross]
         for i in range(cols):
-            _equation(rows, f, (name, i), dim, [(at[cross], membership, _unit(f, cols, i))])
+            equation(rows, f, (name, i), dim, [(at[cross], membership, unit(f, cols, i))])
     on_a, on_b = _center_membership(g)
     for i, j in product(range(len(c.pair_mn)), range(len(c.pair_nm))):
         nm, mn = c.pair_nm[j][i], c.pair_mn[i][j]
         terms = [(at["b_to_center_a"], on_a, nm), (at["a_to_center_b"], on_b, mn)]
-        _equation(rows, f, ("central_pairs", (i, j)), g.algebra.dim, terms)
+        equation(rows, f, ("central_pairs", (i, j)), g.algebra.dim, terms)
     return tuple(rows)
 
 
-def _criteria_witnesses(g: GMAlgebra, parts: LiePresentation) -> tuple:
-    """First failing index of each properness criterion, or None where it
-    holds: the first-diagonal basis element whose cross image leaves
-    ``proj_b``, the second-diagonal one whose cross image leaves ``proj_a``,
-    and the (M, N) basis pair whose cross-mapped pairings are not a central
-    pair."""
+def _criteria_witnesses(g: GMAlgebra, flat) -> tuple:
+    """First failing index of each properness criterion on the map with
+    vec(L) ``flat``, or None where it holds: the first-diagonal basis
+    element whose cross image leaves ``proj_b``, the second-diagonal one
+    whose cross image leaves ``proj_a``, and the (M, N) basis pair whose
+    cross-mapped pairings are not a central pair."""
     first = {}
-    for name, where in _failing_tags(g.field, _criteria_rows(g), _flat(g, parts, _LIE_SHAPES)):
+    for name, where in failing_tags(g.field, _criteria_rows(g), flat):
         first.setdefault(name, where)
     return tuple(first.get(name) for name in _CRITERIA)
 
@@ -598,8 +589,14 @@ def properness_criteria(g: GMAlgebra, endo: EndoMap) -> CriteriaReport:
     compared against membership of ``endo`` in the memoized proper space;
     disagreement raises :class:`ConsistencyError`.
     """
-    parts = extract_lie(g, endo)
-    range_a, range_b, pairs = _criteria_witnesses(g, parts)
+    _require_lie(g, endo)
+    return _criteria(g, endo)
+
+
+def _criteria(g: GMAlgebra, endo: EndoMap) -> CriteriaReport:
+    """``properness_criteria`` of a map already known to be a Lie derivation."""
+    parts = _verified(g, endo, _read_lie_parts(g, endo), _lie_flat, check_lie_parts)
+    range_a, range_b, pairs = _criteria_witnesses(g, endo.flatten())
     # the center isomorphism exists exactly when M is faithful on both sides
     m_faithful = center_analysis(g).center_iso is not None
 
@@ -634,6 +631,16 @@ def properness_criteria(g: GMAlgebra, endo: EndoMap) -> CriteriaReport:
     )
 
 
+def proper_maps_meet_criteria(g: GMAlgebra) -> bool:
+    """The necessary direction on every proper map of the assembled algebra:
+    both cross-map ranges lie inside the projected centers and the
+    cross-mapped pairings are central pairs.  The criteria are rows over
+    vec(L), linear in it, so the flat basis of the memoized proper space
+    covers every proper map."""
+    basis = proper_space(g).space.basis.entries
+    return all(_criteria_witnesses(g, vec) == (None,) * len(_CRITERIA) for vec in basis)
+
+
 def _build_decomposition(g: GMAlgebra, parts: LiePresentation, endo: EndoMap):
     """Derivation + central map splitting of ``endo``, built from the
     companion maps of its components ``parts``; each part must satisfy its
@@ -662,9 +669,9 @@ def _build_decomposition(g: GMAlgebra, parts: LiePresentation, endo: EndoMap):
                 f"companion {report.kind} part violates condition {report.failed[0]}: "
                 f"{report.first_violation()}"
             )
-    d_map = _rebuild(g, d_parts, d_report, _lie_matrix, is_derivation, "derivation")
+    d_map = _rebuild(g, d_parts, d_report, _lie_flat, is_derivation, "derivation")
     c_map = _rebuild(
-        g, c_parts, c_report, _central_matrix, is_central_commutator_free, "central map"
+        g, c_parts, c_report, _central_flat, is_central_commutator_free, "central map"
     )
     if d_map.matrix + c_map.matrix != endo.matrix:
         raise ConsistencyError("decomposition parts do not sum to the map")

@@ -4,28 +4,32 @@ with verified witness decompositions.
 
 A linear self-map is a square matrix acting on coordinate columns; a space
 of maps is a subspace of F^(d*d) under row-major flattening (the matrix
-entry (r, c) lands at flat index r*d + c).  All operations here refuse to
-run over fields of characteristic two: the decomposition theory needs
-two-torsion free modules, and over GF(2) nothing nonzero is.
+entry (r, c) lands at flat index r*d + c).  The rules are tagged rows over
+that flattening, built, solved and read by ``rows``: the spaces solve the
+rows of a generating set, the pointwise checks read every row.  All
+operations here refuse to run over fields of characteristic two: the
+decomposition theory needs two-torsion free modules, and over GF(2) nothing
+nonzero is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    FDAlgebra,
-    TensorTerms,
-    _bracket_terms,
-    _generators,
-    _lie_generators,
-    _memo,
-    _product_terms,
-    commutator_span,
-)
+from .algebra import FDAlgebra, _generators, _lie_generators, _memo
 from .errors import CharacteristicTwoError, ConsistencyError, DimensionMismatch, PreconditionError
 from .gma import GMAlgebra
-from .linalg import Matrix, Subspace, solve, sparse_kernel, subspace_sum
+from .linalg import Matrix, Subspace, solve, subspace_sum
+from .rows import (
+    bracket_rows,
+    bracket_system,
+    central_rows,
+    central_system,
+    failing_tags,
+    product_rows,
+    product_system,
+    solutions,
+)
 
 __all__ = [
     "EndoMap",
@@ -118,106 +122,6 @@ def _require_odd(a: FDAlgebra):
         )
 
 
-# -- rules as tagged rows -------------------------------------------------------
-#
-# Each rule is a tuple of sparse rows (tag, columns, coefficients) over the
-# flattened map: a map obeys the rule iff every row has a zero product with
-# its flattening.  The tag is shared by the rows of one basis pair (product
-# and bracket rules) or one value or commutator (central rule).  The
-# pointwise checks read every row of a rule, memoized; the spaces solve only
-# the rows of a generating set (see below).
-
-
-def _add_row(rows: list, f, tag, terms):
-    """Append the row sum_t x_t e_{c_t} of (c_t, x_t) terms under ``tag``;
-    repeated columns add up, and a row that comes out zero is dropped."""
-    row = {}
-    for c, x in terms:
-        row[c] = f.add(row[c], x) if c in row else x
-    cols = tuple(c for c, x in row.items() if x != f.zero)
-    if cols:
-        rows.append((tag, cols, tuple(row[c] for c in cols)))
-
-
-def _leibniz_rows(a: FDAlgebra, terms: TensorTerms, pairs) -> tuple:
-    """T(x_i x_j) = T(x_i) x_j + x_i T(x_j) over the product whose nonzero
-    terms are ``terms``: one row per output coordinate k, tagged (i, j)."""
-    f, d, neg = a.field, a.dim, a.field.neg
-    # -T_{p i} t[p][j][k] and -T_{q j} t[i][q][k], as (p*d, -s) and (q*d, -s)
-    left = [[[(p * d, neg(s)) for p, s in col] for col in plane] for plane in terms.left]
-    right = [[[(q * d, neg(s)) for q, s in col] for col in plane] for plane in terms.right]
-    rows = []
-    for i, j in pairs:
-        tag = (i, j)
-        product, by_left, by_right = terms.out[i][j], left[j], right[i]
-        for k in range(d):
-            row = [(k * d + l, s) for l, s in product]
-            row += [(pd + i, s) for pd, s in by_left[k]]
-            row += [(qd + j, s) for qd, s in by_right[k]]
-            _add_row(rows, f, tag, row)
-    return tuple(rows)
-
-
-def _product_system(a: FDAlgebra, members) -> tuple:
-    """Product-rule rows of the pairs (s, j), s in ``members``, all j."""
-    pairs = [(s, j) for s in members for j in range(a.dim)]
-    return _leibniz_rows(a, _product_terms(a), pairs)
-
-
-def _bracket_system(a: FDAlgebra, members) -> tuple:
-    """Bracket-rule rows of the pairs i < j with i or j in ``members``; the
-    pair (j, i) gives the negated rows, and (i, i) none."""
-    members = set(members)
-    pairs = [
-        (i, j)
-        for i in range(a.dim)
-        for j in range(i + 1, a.dim)
-        if i in members or j in members
-    ]
-    return _leibniz_rows(a, _bracket_terms(a), pairs)
-
-
-def _central_system(a: FDAlgebra, members) -> tuple:
-    """Every value commuting with the basis vectors of ``members``,
-    [e_i, T(e_s)] = 0 for i in ``members``, tagged ("value", s); then every
-    commutator killed, T(w) = 0, tagged ("commutator", r) for the r-th basis
-    vector w of the commutator span."""
-    f, d, z = a.field, a.dim, a.field.zero
-    right = _bracket_terms(a).right
-    rows = []
-    for s in range(d):
-        tag = ("value", s)
-        for i in members:
-            for k in range(d):
-                _add_row(rows, f, tag, [(m * d + s, c) for m, c in right[i][k]])
-    for r, w in enumerate(commutator_span(a).basis.entries):
-        tag = ("commutator", r)
-        for k in range(d):
-            _add_row(rows, f, tag, [(k * d + s, ws) for s, ws in enumerate(w) if ws != z])
-    return tuple(rows)
-
-
-@_memo
-def _product_rows(a: FDAlgebra) -> tuple:
-    return _product_system(a, range(a.dim))
-
-
-@_memo
-def _bracket_rows(a: FDAlgebra) -> tuple:
-    return _bracket_system(a, range(a.dim))
-
-
-@_memo
-def _central_rows(a: FDAlgebra) -> tuple:
-    return _central_system(a, range(a.dim))
-
-
-def _solutions(a: FDAlgebra, rows) -> MapSpace:
-    """The maps whose flattening every row annihilates, solved one
-    independent block of rows at a time."""
-    return MapSpace(a.dim, sparse_kernel(a.field, a.dim**2, ((c, x) for _, c, x in rows)))
-
-
 # The spaces solve only the rows of a generating set.  The x that obey the
 # product rule against every y form a subalgebra, and for the bracket rule a
 # Lie subalgebra (Jacobi); the centralizer of a Lie generating set is the
@@ -227,18 +131,18 @@ def _solutions(a: FDAlgebra, rows) -> MapSpace:
 
 @_memo
 def _derivation_space(a: FDAlgebra) -> MapSpace:
-    return _solutions(a, _product_system(a, _generators(a)))
+    return MapSpace(a.dim, solutions(a, product_system(a, _generators(a))))
 
 
 @_memo
 def _lie_derivation_space(a: FDAlgebra) -> MapSpace:
-    return _solutions(a, _bracket_system(a, _lie_generators(a)))
+    return MapSpace(a.dim, solutions(a, bracket_system(a, _lie_generators(a))))
 
 
 @_memo
 def _central_map_space(a: FDAlgebra) -> MapSpace:
     """Maps with all values central that kill every commutator."""
-    return _solutions(a, _central_system(a, _lie_generators(a)))
+    return MapSpace(a.dim, solutions(a, central_system(a, _lie_generators(a))))
 
 
 def derivation_space(g) -> MapSpace:
@@ -279,40 +183,21 @@ def proper_space(g) -> MapSpace:
 # -- pointwise identity checks -------------------------------------------------
 
 
-def _failing_tags(f, rows, flat):
-    """Yield the tag of every row with a nonzero product against the
-    vector ``flat``, once per tag and in row order.  The rows of one tag
-    must be adjacent; those after its first failing row are skipped."""
-    z = f.zero
-    failed = None
-    for tag, cols, coeffs in rows:
-        if tag == failed:
-            continue
-        acc = z
-        for c, x in zip(cols, coeffs):
-            v = flat[c]
-            if v != z:
-                acc = f.add(acc, f.mul(x, v))
-        if acc != z:
-            failed = tag
-            yield tag
-
-
 def _first_failure(a: FDAlgebra, rule, endo: EndoMap):
     """Tag of the first row of ``rule(a)`` with a nonzero product against the
     flattened map, or None when the map obeys the rule."""
     _check_shape(a, endo)
-    return next(_failing_tags(a.field, rule(a), endo.flatten()), None)
+    return next(failing_tags(a.field, rule(a), endo.flatten()), None)
 
 
 def derivation_defect(g, endo: EndoMap):
     """First basis pair violating the product rule, or None."""
-    return _first_failure(_algebra_of(g), _product_rows, endo)
+    return _first_failure(_algebra_of(g), product_rows, endo)
 
 
 def lie_defect(g, endo: EndoMap):
     """First basis pair violating the bracket rule, or None."""
-    return _first_failure(_algebra_of(g), _bracket_rows, endo)
+    return _first_failure(_algebra_of(g), bracket_rows, endo)
 
 
 def is_derivation(g, endo: EndoMap) -> bool:
@@ -325,7 +210,7 @@ def is_lie_derivation(g, endo: EndoMap) -> bool:
 
 def is_central_commutator_free(g, endo: EndoMap) -> bool:
     """Are all values central and all commutators killed?"""
-    return _first_failure(_algebra_of(g), _central_rows, endo) is None
+    return _first_failure(_algebra_of(g), central_rows, endo) is None
 
 
 def _check_shape(a: FDAlgebra, endo: EndoMap):

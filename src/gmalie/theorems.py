@@ -24,8 +24,8 @@ from .algebra import DEFAULT_BUDGET, central_ideal_free, commutator_idempotent_s
 from .errors import CharacteristicTwoError, PreconditionError
 from .gma import GMAlgebra, center_analysis, is_trivial
 from .morita import left_action_kernel, right_action_kernel, strongly_faithful
-from .presentation import _criteria_rows
-from .spaces import _failing_tags, has_lie_derivation_property, proper_space
+from .presentation import proper_maps_meet_criteria
+from .spaces import has_lie_derivation_property
 from .tristate import TriState, tri_all, tri_any
 
 DEFAULT_LDP_DIM_CAP = 6
@@ -76,20 +76,6 @@ def _ldp_tristate(algebra, dim_cap: int) -> TriState:
     return TriState.from_bool(has_lie_derivation_property(algebra))
 
 
-def _necessity_on_basis(facts) -> TriState:
-    """The necessary direction, on every proper map of the assembled
-    algebra: both cross-map ranges lie inside the projected centers and the
-    cross-mapped pairings are central pairs.  The criteria are rows over the
-    flattened map, linear in it, so the flat basis of the memoized proper
-    space covers every proper map."""
-    g = facts.g
-    rows = _criteria_rows(g)
-    for vec in proper_space(g).space.basis.entries:
-        if next(_failing_tags(g.field, rows, vec), None) is not None:
-            return TriState.FAILS
-    return TriState.HOLDS
-
-
 # Fact name -> evaluator of one context's ``_Facts``.  Every entry is a
 # hypothesis except ``necessity_on_basis``, the trivial check's side scan.
 _EVALUATORS = {
@@ -107,7 +93,7 @@ _EVALUATORS = {
     "ci_generates_b": lambda c: commutator_idempotent_subalgebra(c.ctx.b, c.budget).spans(c.ctx.b),
     "ldp_a": lambda c: _ldp_tristate(c.ctx.a, c.ldp_dim_cap),
     "ldp_b": lambda c: _ldp_tristate(c.ctx.b, c.ldp_dim_cap),
-    "necessity_on_basis": _necessity_on_basis,
+    "necessity_on_basis": lambda c: TriState.from_bool(proper_maps_meet_criteria(c.g)),
 }
 
 # A formula is a fact name or ("all" | "any", formula, ...).

@@ -19,18 +19,18 @@ from gmalie.fields import GF, QQ
 from gmalie.fuzzing import FuzzConfig, generate_contexts
 from gmalie.gma import assemble
 from gmalie.linalg import sparse_kernel
-from gmalie.spaces import _bracket_rows, _central_rows, _product_rows, _solutions
+from gmalie.rows import bracket_rows, central_rows, product_rows, solutions
 
 from helpers import matrix_unit_tensor, random_basis_tensor, reference_solutions
 
-RULES = (_product_rows, _bracket_rows, _central_rows)
+RULES = (product_rows, bracket_rows, central_rows)
 
 
 def _assert_same_spaces(a):
     for rule in RULES:
         rows = rule(a)
         expected = reference_solutions(a.field, a.dim**2, [(c, x) for _, c, x in rows])
-        assert _solutions(a, rows).space == expected, rule.__name__
+        assert solutions(a, rows) == expected, rule.__name__
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
@@ -62,9 +62,9 @@ def test_random_basis_twin():
     )
     a = FDAlgebra(GF(p), 9, tensor, unit)
     # dense rows: in matrix units no product row touches more than three unknowns
-    assert any(len(cols) > 9 for _, cols, _ in _product_rows(a))
+    assert any(len(cols) > 9 for _, cols, _ in product_rows(a))
     _assert_same_spaces(a)
-    assert _solutions(a, _product_rows(a)).dim == 8
+    assert solutions(a, product_rows(a)).dim == 8
 
 
 @st.composite

@@ -6,8 +6,8 @@ from gmalie.catalog import build_document, load_example
 from gmalie.cli import main
 from gmalie.gma import center_analysis, gma_structure_tensor
 from gmalie.morita import left_action_kernel, right_action_kernel
-from gmalie.presentation import _lie_matrix, properness_criteria
-from gmalie.spaces import is_proper
+from gmalie.presentation import _criteria, _lie_flat
+from gmalie.spaces import is_proper, lie_defect
 from gmalie.workspace import render_json
 
 from helpers import record_calls, record_structure_checks
@@ -111,15 +111,17 @@ def test_proper_refuses_a_map_that_is_not_a_lie_derivation(capsys, tmp_path):
     [("peirce", "ad_e12_plus_trace", 2), ("example_sec4", "L_paper", 1)],
 )
 def test_proper_decides_each_fact_once(capsys, tmp_path, monkeypatch, workspace, map_name, rebuilds):
-    # one oracle decision; the map is rebuilt once to verify its extraction
+    # one oracle decision, which is also the one bracket-rule check: the
+    # criteria run ungated; the map is rebuilt once to verify its extraction
     # and, on a proper verdict, once more for the derivation part; the
     # criteria read M's faithfulness off the center analysis
     path = _peirce_workspace(tmp_path) if workspace == "peirce" else workspace
     calls = record_calls(
         monkeypatch,
         is_proper,
-        _lie_matrix,
-        properness_criteria,
+        lie_defect,
+        _lie_flat,
+        _criteria,
         center_analysis,
         left_action_kernel,
         right_action_kernel,
@@ -127,9 +129,10 @@ def test_proper_decides_each_fact_once(capsys, tmp_path, monkeypatch, workspace,
     assert run(capsys, "proper", "--input", path, "--map", map_name)[0] == 0
     names = [name for name, _, _ in calls]
     assert names.count("is_proper") == 1
-    assert names.count("_lie_matrix") == rebuilds
-    assert names.count("properness_criteria") == 1
-    inside = [name for name, _, around in calls if around[-1:] == ("properness_criteria",)]
+    assert names.count("lie_defect") == 1
+    assert names.count("_lie_flat") == rebuilds
+    assert names.count("_criteria") == 1
+    inside = [name for name, _, around in calls if around[-1:] == ("_criteria",)]
     assert not any(name.endswith("_action_kernel") for name in inside), inside
 
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -6,6 +8,9 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gmalie.presentation
+import gmalie.theorems
+from gmalie.algebra import _lie_generators
 from gmalie.catalog import EXAMPLE_NAMES, load_example
 from gmalie.constructions import (
     field_algebra,
@@ -21,9 +26,10 @@ from gmalie.linalg import Matrix
 from gmalie.presentation import (
     CentralPresentation,
     LiePresentation,
-    _central_matrix,
+    _central_flat,
+    _criteria_rows,
     _criteria_witnesses,
-    _lie_matrix,
+    _lie_flat,
     _read_lie_parts,
     central_pair_subalgebra,
     check_central_parts,
@@ -38,16 +44,20 @@ from gmalie.presentation import (
     rebuild_derivation,
     rebuild_lie,
 )
+from gmalie.rows import bracket_system, solutions
 from gmalie.spaces import (
     EndoMap,
     central_map_space,
+    derivation_defect,
     derivation_space,
     is_proper,
     lie_defect,
     lie_derivation_space,
+    proper_space,
 )
 
 from helpers import (
+    record_calls,
     reference_center_iso,
     reference_central_matrix,
     reference_central_parts_report,
@@ -239,6 +249,37 @@ def test_criteria_agree_with_oracle_on_peirce_basis():
             assert crit.derivation.matrix + crit.central.matrix == endo.matrix
 
 
+def _characterization_contexts():
+    """The six examples, the seed-1 fuzz slices over GF(3), GF(5) and QQ, and
+    the slice of 60 contexts up to dimension 4 over GF(3) that CI fuzzes."""
+    for name in EXAMPLE_NAMES:
+        ws = load_example(name)
+        yield ws.assembled(ws.sole_context_name())
+    configs = [FuzzConfig(seed=1, count=30, field=f) for f in (GF(3), GF(5), QQ)]
+    configs.append(FuzzConfig(seed=1, count=60, field=GF(3), max_dims=(4,) * 4))
+    for config in configs:
+        for _, ctx in generate_contexts(config):
+            yield assemble(ctx)
+
+
+def test_the_criteria_cut_the_proper_maps_out_of_the_lie_derivations():
+    # C: the maps obeying the bracket rows of a Lie generating set and the
+    # criteria rows, solved as one system.  The criteria are necessary, so
+    # proper <= C <= Lie; with M faithful they are sufficient, so C = proper
+    faithful = lie_not_proper = 0
+    for g in _characterization_contexts():
+        a = g.algebra
+        cut = solutions(a, bracket_system(a, _lie_generators(a)) + _criteria_rows(g))
+        proper, lie = proper_space(g).space, lie_derivation_space(g).space
+        assert cut.contains(proper) and lie.contains(cut)
+        if center_analysis(g).center_iso is not None:
+            faithful += 1
+            assert cut == proper
+        lie_not_proper += lie != proper
+    assert faithful >= 130
+    assert lie_not_proper > 0
+
+
 @lru_cache(maxsize=None)
 def _paired_contexts():
     """The two matrix Peirce examples, and the contexts of a GF(3) and a QQ
@@ -271,7 +312,7 @@ def test_criteria_witnesses_match_the_per_criterion_loops(data):
             rows[r][c] = f.add(rows[r][c], f.of(data.draw(st.integers(-2, 2))))
         crosses[name] = Matrix(f, rows, cols=cross.cols)
     parts = replace(parts, **crosses)
-    assert _criteria_witnesses(g, parts) == reference_criteria_witnesses(g, parts)
+    assert _criteria_witnesses(g, _lie_flat(g, parts)) == reference_criteria_witnesses(g, parts)
 
 
 def test_central_pairs_witness_is_the_first_pair_in_row_major_order():
@@ -282,7 +323,7 @@ def test_central_pairs_witness_is_the_first_pair_in_row_major_order():
     parts = _read_lie_parts(g, EndoMap.zero(g.field, g.algebra.dim))
     parts = replace(parts, b_to_center_a=Matrix(g.field, [[0, 1, 1, 0]], cols=4))
     assert reference_criteria_witnesses(g, parts) == (None, None, (0, 1))
-    assert _criteria_witnesses(g, parts) == (None, None, (0, 1))
+    assert _criteria_witnesses(g, _lie_flat(g, parts)) == (None, None, (0, 1))
 
 
 def test_central_pair_subalgebra_everything_when_maps_vanish():
@@ -681,6 +722,27 @@ def test_derivation_check_flags_nonzero_cross_maps():
         extract_derivation(g, endo)
 
 
+@pytest.mark.parametrize("example", ["mat2_GF3_peirce", "mat3_GF3_peirce", "example_sec4"])
+def test_block_checks_run_no_defect_scan(example, monkeypatch):
+    # the diagonal conditions are the block rules lifted into vec(L), read
+    # with the other rows; no block map is scanned on its own
+    g = load_example(example).assembled("G")
+    bases = (
+        extract_lie(g, _sum_of_basis(g, lie_derivation_space(g))),
+        extract_derivation(g, _sum_of_basis(g, derivation_space(g))),
+    )
+    calls = record_calls(monkeypatch, lie_defect, derivation_defect)
+    diagonal = 0
+    for base in bases:
+        for component in BUMPED:
+            parts = _bumped(g.field, base, component)
+            for report in (check_lie_parts(g, parts), check_derivation_parts(g, parts)):
+                # the diagonal condition comes first
+                diagonal += bool(next(iter(report.violations.values())))
+    assert calls == []
+    assert diagonal > 0
+
+
 @lru_cache(maxsize=None)
 def _report_contexts():
     """The six examples, then the contexts of the GF(3) and QQ fuzz slices
@@ -754,11 +816,12 @@ def test_placed_blocks_match_the_column_by_column_rebuild(data):
         matrix("a", "a"), matrix("b", "b"), matrix("m", "m"), matrix("n", "n"),
         matrix("b", "a"), matrix("a", "b"), vector("m"), vector("n"),
     )
-    lie = _lie_matrix(g, parts)
-    assert lie == reference_lie_matrix(g, parts)
-    assert _read_lie_parts(g, EndoMap(lie)) == parts
+    d = g.algebra.dim
+    lie = EndoMap.from_flat(f, _lie_flat(g, parts), d)
+    assert lie.matrix == reference_lie_matrix(g, parts)
+    assert _read_lie_parts(g, lie) == parts
     central = CentralPresentation(matrix("a", "a"), matrix("a", "b"), matrix("b", "a"), matrix("b", "b"))
-    assert _central_matrix(g, central) == reference_central_matrix(g, central)
+    assert _central_flat(g, central) == reference_central_matrix(g, central).flatten()
 
 
 def test_center_iso_matches_the_module_action_solve():
@@ -768,3 +831,24 @@ def test_center_iso_matches_the_module_action_solve():
         assert center_analysis(g).center_iso == expected
         faithful += expected is not None
     assert faithful >= 50
+
+
+@pytest.mark.parametrize(
+    "module, source",
+    [
+        (gmalie.presentation, "spaces"),
+        (gmalie.theorems, "spaces"),
+        (gmalie.theorems, "presentation"),
+    ],
+)
+def test_no_private_names_cross_into_presentation_or_theorems(module, source):
+    # the row format and its readers live in ``rows``; the oracle and the
+    # presentations share only their public names
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(node, ast.ImportFrom) and node.module == source
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []

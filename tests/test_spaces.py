@@ -195,14 +195,14 @@ def test_gma_and_algebra_arguments_are_interchangeable():
 
 def test_derived_facts_are_computed_once_per_algebra_value(monkeypatch):
     import gmalie.algebra as algebra
-    import gmalie.spaces as spaces
+    import gmalie.rows as rows
 
     a = matrix_algebra(GF(3), 2)
     assert algebra.center(a) is algebra.center(a)
     twin = matrix_algebra(GF(3), 2)
     assert twin is not a and twin == a
     assert derivation_space(twin) is derivation_space(a)
-    for rule in (spaces._product_rows, spaces._bracket_rows, spaces._central_rows):
+    for rule in (rows.product_rows, rows.bracket_rows, rows.central_rows):
         assert rule(twin) is rule(a)
 
     g = load_example("mat3_GF3_peirce").assembled("G")
