@@ -56,7 +56,7 @@ def _canonical_tensor(field, tensor, shape):
                 raise DimensionMismatch(
                     f"tensor entry [{i}][{j}] has length {len(row)}, expected {d2}"
                 )
-            rows.append(tuple(field.of(x) for x in row))
+            rows.append(field.vector(row))
         out.append(tuple(rows))
     return tuple(out)
 
@@ -89,11 +89,9 @@ class FDAlgebra:
         )
         if len(self.unit) != d:
             raise DimensionMismatch("unit coordinate length mismatch")
-        object.__setattr__(self, "unit", tuple(f.of(x) for x in self.unit))
+        object.__setattr__(self, "unit", f.vector(self.unit))
         object.__setattr__(
-            self,
-            "declared_idempotents",
-            tuple(tuple(f.of(x) for x in e) for e in self.declared_idempotents),
+            self, "declared_idempotents", tuple(map(f.vector, self.declared_idempotents))
         )
         bad = structure_violations(f, d, self.structure, self.unit)
         for e in self.declared_idempotents:
@@ -176,7 +174,11 @@ def structure_violations(field, dim, structure, unit, cap=8):
     """Unit-law and associativity violations of a structure tensor.
 
     Stops collecting after ``cap`` entries, or never when ``cap`` is None;
-    an empty list means valid.
+    an empty list means valid.  Associators are first checked on S x A x A
+    for a generating set S: the left nucleus {x : (xy)z = x(yz)} is a
+    subalgebra and the words in S span A, so it is all of A once it holds
+    S.  Only when that check fails are all d^3 basis triples scanned, in
+    order.
     """
     if cap is None:
         cap = math.inf
@@ -192,33 +194,38 @@ def structure_violations(field, dim, structure, unit, cap=8):
             bad.append(Violation("right_unit", (i,)))
         if len(bad) >= cap:
             return bad
-    # (e_i e_j) e_k against e_i (e_j e_k), summed over nonzero terms only:
     # support[i][j] lists the (m, s) with e_i e_j = sum s e_m
     support = [
         [[(m, s) for m, s in enumerate(row) if s != z] for row in plane] for plane in structure
     ]
-    # the difference of the two sides accumulates as plain scalars; over
-    # GF(p) each coordinate is reduced once, at the zero test
     p = f.characteristic
-    for i in range(dim):
-        row_i = support[i]
-        for j in range(dim):
-            ij, row_j = row_i[j], support[j]
-            for k in range(dim):
-                acc = {}
-                for m, s in ij:
-                    for n, t in support[m][k]:
-                        st = s * t
-                        acc[n] = acc[n] + st if n in acc else st
-                for m, s in row_j[k]:
-                    for n, t in row_i[m]:
-                        st = s * t
-                        acc[n] = acc[n] - st if n in acc else -st
-                if any(x % p for x in acc.values()) if p else any(acc.values()):
-                    bad.append(Violation("associativity", (i, j, k)))
-                    if len(bad) >= cap:
-                        return bad
+    span = range(dim)
+    gens = _greedy_generators(f, dim, support)
+    if not any(_associator_fails(support, p, i, j, k) for i in gens for j in span for k in span):
+        return bad
+    for i, j, k in itertools.product(span, repeat=3):
+        if _associator_fails(support, p, i, j, k):
+            bad.append(Violation("associativity", (i, j, k)))
+            if len(bad) >= cap:
+                return bad
     return bad
+
+
+def _associator_fails(support, p, i, j, k) -> bool:
+    """Is (e_i e_j) e_k != e_i (e_j e_k)?  Summed over the nonzero terms of
+    ``support`` only; the difference of the two sides accumulates as plain
+    scalars, and over GF(p) each coordinate is reduced once, at the zero
+    test."""
+    acc = {}
+    for m, s in support[i][j]:
+        for n, t in support[m][k]:
+            st = s * t
+            acc[n] = acc[n] + st if n in acc else st
+    for m, s in support[j][k]:
+        for n, t in support[i][m]:
+            st = s * t
+            acc[n] = acc[n] - st if n in acc else -st
+    return any(x % p for x in acc.values()) if p else any(acc.values())
 
 
 # -- structural analyses ----------------------------------------------------
@@ -334,8 +341,9 @@ def _greedy_generators(f: Field, d: int, out) -> tuple:
 
     def store(v: dict):
         c = min(v)
-        inv = f.inv(v[c])
-        v = {t: mul(inv, x) for t, x in v.items()}
+        if v[c] != one:
+            inv = f.inv(v[c])
+            v = {t: mul(inv, x) for t, x in v.items()}
         echelon[c] = v
         work.extend((s, v) for s in members)
 

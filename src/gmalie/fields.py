@@ -93,6 +93,22 @@ class Field:
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
+    def vector(self, values) -> tuple:
+        """Canonicalize a sequence of scalars: the tuple of ``of`` on each
+        entry, with the same errors.  One scan of the entries' types decides
+        it, so canonical input comes back as it is."""
+        values = tuple(values)
+        kinds = set(map(type, values))
+        if self.kind == "GF":
+            if kinds == {int}:
+                p = self.p
+                if min(values) >= 0 and max(values) < p:
+                    return values
+                return tuple(x % p for x in values)
+        elif kinds == {Fraction}:
+            return values
+        return tuple(map(self.of, values))
+
     def parse(self, text):
         """Parse a JSON scalar: an int, or a decimal fraction string "a/b"."""
         if isinstance(text, bool):
@@ -140,7 +156,7 @@ class Field:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _Q_ONE / a
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -213,7 +213,7 @@ def _peirce_corners(a: FDAlgebra, idem):
     """The idempotent p, q = 1 - p, and the corners p.A.p, p.A.q, q.A.p, q.A.q
     as canonical subspaces of A; p must be a nontrivial idempotent."""
     f = a.field
-    p = tuple(f.of(x) for x in idem)
+    p = f.vector(idem)
     if len(p) != a.dim:
         raise DimensionMismatch("idempotent coordinate length mismatch")
     if a.multiply(p, p) != p:

@@ -31,7 +31,7 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, entries, cols: int | None = None):
-        grid = tuple(tuple(field.of(x) for x in row) for row in entries)
+        grid = tuple(map(field.vector, entries))
         n_rows = len(grid)
         if n_rows:
             n_cols = len(grid[0])
@@ -368,7 +368,7 @@ def solve(m: Matrix, vec):
     if len(vec) != m.rows:
         raise DimensionMismatch(f"rhs length {len(vec)} != {m.rows} rows")
     f = m.field
-    vec = tuple(f.of(x) for x in vec)
+    vec = f.vector(vec)
     augmented = [list(row) + [b] for row, b in zip(m.entries, vec)]
     if not augmented:
         return (f.zero,) * m.cols
@@ -411,7 +411,7 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "basis", "_pivots")
 
     def __init__(self, field: Field, ambient_dim: int, vectors=(), *, _reduced=False):
-        vectors = [tuple(field.of(x) for x in v) for v in vectors]
+        vectors = list(map(field.vector, vectors))
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(
@@ -454,7 +454,7 @@ class Subspace:
     def reduce_vector(self, vec) -> tuple:
         """Residual of ``vec`` after clearing the basis pivots; zero iff member."""
         f = self.field
-        v = [f.of(x) for x in vec]
+        v = list(f.vector(vec))
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient dimension mismatch")
         z = f.zero
@@ -478,8 +478,7 @@ class Subspace:
         """Coefficients of ``vec`` over the canonical basis, or None if outside."""
         if not self.contains_vector(vec):
             return None
-        f = self.field
-        v = tuple(f.of(x) for x in vec)
+        v = self.field.vector(vec)
         return tuple(v[piv] for piv in self.pivot_columns())
 
     def from_coordinates(self, coords) -> tuple:
@@ -488,8 +487,7 @@ class Subspace:
         f = self.field
         z = f.zero
         acc = [z] * self.ambient_dim
-        for c, row in zip(coords, self.basis.entries):
-            c = f.of(c)
+        for c, row in zip(f.vector(coords), self.basis.entries):
             if c != z:
                 for j, x in enumerate(row):
                     if x != z:

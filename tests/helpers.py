@@ -12,12 +12,15 @@ earlier row builders, which scan every tensor entry; the presentation
 references are its earlier checkers, which evaluate every condition on basis
 vectors, and its earlier rebuilds, which assemble a map column by column
 through the module actions; the context references are its earlier
-validators, which check each module, pairing and diagram law on basis tuples.
+validators, which check each module, pairing and diagram law on basis tuples;
+the structure reference is its earlier validation, which tests the
+associator on every basis triple.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +29,7 @@ import numpy as np
 
 import gmalie.algebra
 import gmalie.morita
-from gmalie.algebra import center, commutator_span
+from gmalie.algebra import _bilinear, center, commutator_span
 from gmalie.errors import Violation
 from gmalie.gma import center_analysis
 from gmalie.linalg import Matrix, Subspace, kernel, solve
@@ -190,6 +193,47 @@ def associativity_failures(tensor, p) -> list:
     left = np.einsum("ijm,mkn->ijkn", t, t) % p
     right = np.einsum("jkm,imn->ijkn", t, t) % p
     return [tuple(int(x) for x in idx) for idx in np.argwhere((left != right).any(axis=3))]
+
+
+def reference_structure_violations(field, dim, structure, unit, cap=8):
+    """The library's earlier validation: unit laws, then every basis triple
+    (i, j, k) in lexicographic order, with the same ``cap``."""
+    if cap is None:
+        cap = math.inf
+    f = field
+    z = f.zero
+    bad = []
+    basis = [tuple(f.one if j == i else z for j in range(dim)) for i in range(dim)]
+    for i, e in enumerate(basis):
+        if _bilinear(f, structure, unit, e, dim) != e:
+            bad.append(Violation("left_unit", (i,)))
+        if _bilinear(f, structure, e, unit, dim) != e:
+            bad.append(Violation("right_unit", (i,)))
+        if len(bad) >= cap:
+            return bad
+    support = [
+        [[(m, s) for m, s in enumerate(row) if s != z] for row in plane] for plane in structure
+    ]
+    p = f.characteristic
+    for i in range(dim):
+        row_i = support[i]
+        for j in range(dim):
+            ij, row_j = row_i[j], support[j]
+            for k in range(dim):
+                acc = {}
+                for m, s in ij:
+                    for n, t in support[m][k]:
+                        st = s * t
+                        acc[n] = acc[n] + st if n in acc else st
+                for m, s in row_j[k]:
+                    for n, t in row_i[m]:
+                        st = s * t
+                        acc[n] = acc[n] - st if n in acc else -st
+                if any(x % p for x in acc.values()) if p else any(acc.values()):
+                    bad.append(Violation("associativity", (i, j, k)))
+                    if len(bad) >= cap:
+                        return bad
+    return bad
 
 
 def derivation_nullity(tensor, p) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 from gmalie.algebra import (
     FDAlgebra,
+    _associator_fails,
+    _generators,
     analyze_algebra,
     center,
     central_ideal_free,
@@ -32,6 +35,8 @@ from gmalie.constructions import (
 )
 from gmalie.errors import ValidationFailure, Violation
 from gmalie.fields import GF, QQ
+from gmalie.fuzzing import _catalog
+from gmalie.gma import assemble
 from gmalie.linalg import Subspace
 from gmalie.tristate import TriState
 
@@ -41,6 +46,8 @@ from helpers import (
     idempotent_count_brute,
     matrix_unit_tensor,
     random_basis_tensor,
+    record_calls,
+    reference_structure_violations,
 )
 
 
@@ -152,6 +159,71 @@ def test_capped_associativity_violations_in_a_dense_basis(p, seed):
     found = structure_violations(f, n * n, tensor, unit, cap=10**6)
     assert found == [Violation("associativity", t) for t in expected]
     assert structure_violations(f, n * n, tensor, unit) == found[:8]
+
+
+def _validation_cases(f, rng):
+    """(label, tensor, unit) of the catalog's assembled algebras and a few
+    named algebras over ``f``, with a random-basis twin of each over GF(p)."""
+    algebras = [(label, assemble(build()).algebra) for label, _, build in _catalog(f)]
+    algebras += [
+        ("M2", matrix_algebra(f, 2)),
+        ("M3", matrix_algebra(f, 3)),
+        ("T3", upper_triangular_algebra(f, 3)),
+    ]
+    for label, a in algebras:
+        tensor = [[list(row) for row in plane] for plane in a.structure]
+        yield label, tensor, list(a.unit)
+        if f.is_prime_field:
+            yield (f"{label}~rand", *random_basis_tensor(tensor, a.unit, f.p, rng))
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=repr)
+def test_reduced_associativity_check_matches_the_full_scan(field):
+    # a valid tensor passes the check on generators alone; a tensor with one
+    # entry bumped gets the full scan's list, capped or not
+    rng = random.Random(field.characteristic)
+    checked = associative_only = 0
+    for label, tensor, unit in _validation_cases(field, rng):
+        d = len(tensor)
+        assert structure_violations(field, d, tensor, unit, cap=None) == [], label
+        for _ in range(12):
+            i, j, k = (rng.randrange(d) for _ in range(3))
+            shift = rng.randrange(1, field.p) if field.is_prime_field else rng.choice((-1, 1, 2))
+            bumped = [[list(row) for row in plane] for plane in tensor]
+            bumped[i][j][k] = field.add(bumped[i][j][k], field.of(shift))
+            for cap in (8, None):
+                expected = reference_structure_violations(field, d, bumped, unit, cap=cap)
+                assert structure_violations(field, d, bumped, unit, cap=cap) == expected, label
+            laws = {v.law for v in expected}
+            checked += 1
+            associative_only += laws == {"associativity"}
+    assert checked >= 150
+    # bumps that keep the unit laws, so only the associators can catch them
+    assert associative_only >= 20
+
+
+def test_valid_algebra_checks_associators_on_generators_only(monkeypatch):
+    rng = random.Random(5)
+    f = GF(3)
+    t5 = upper_triangular_algebra(f, 5)
+    tensor, unit = random_basis_tensor(
+        [[list(row) for row in plane] for plane in t5.structure], t5.unit, f.p, rng
+    )
+    calls = record_calls(monkeypatch, _associator_fails)
+    a = FDAlgebra(f, 15, tensor, unit)
+    gens = _generators(a)
+    assert 1 < len(gens) < a.dim
+    triples = [args[2:] for _, args, _ in calls]
+    assert triples == [(i, j, k) for i in gens for j in range(15) for k in range(15)]
+    # one bumped entry: the check on generators fails, and the full scan runs
+    bumped = [[list(row) for row in plane] for plane in tensor]
+    bumped[gens[-1]][0][0] = f.add(bumped[gens[-1]][0][0], 1)
+    del calls[:]
+    found = structure_violations(f, 15, bumped, unit, cap=None)
+    assert found == reference_structure_violations(f, 15, bumped, unit, cap=None)
+    assert any(v.law == "associativity" for v in found)
+    triples = [args[2:] for _, args, _ in calls]
+    assert triples[-(15**3) :] == list(itertools.product(range(15), repeat=3))
 
 
 def test_center_of_commutative_is_everything():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmalie.errors import DimensionMismatch
 from gmalie.fields import GF, QQ, Field, field_from_doc, is_prime
@@ -85,3 +86,70 @@ def test_parse_rejects_non_scalars():
         QQ.parse(1.5)
     with pytest.raises(ValueError):
         QQ.parse("one half")
+
+
+def test_rational_inverse_is_exact():
+    assert QQ.inv(3) == Fraction(1, 3)
+    assert type(QQ.inv(3)) is Fraction
+    assert type(QQ.inv(Fraction(2, 3))) is Fraction
+    assert QQ.div(1, 3) == Fraction(1, 3)
+    assert type(QQ.div(1, 3)) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+_FIELDS = (GF(3), GF(5), GF(2**31 - 1), QQ)
+
+# every kind of entry ``of`` sees: canonical residues, negative and large
+# ints, bools, Fractions (some with denominators the small primes divide),
+# and values it refuses
+_SCALARS = st.one_of(
+    st.integers(0, 4),
+    st.integers(-(2**40), 2**40),
+    st.booleans(),
+    st.fractions(max_denominator=30),
+    st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(-7, 9), Fraction(0)]),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+)
+
+
+def _outcome(fn):
+    try:
+        return "value", fn()
+    except Exception as exc:  # noqa: BLE001 - the exception type is compared
+        return "raises", type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    field=st.sampled_from(_FIELDS),
+    values=st.one_of(
+        st.lists(st.integers(0, 2), max_size=6),
+        st.lists(st.integers(), max_size=6),
+        st.lists(st.fractions(), max_size=6),
+        st.lists(_SCALARS, max_size=6),
+    ),
+)
+def test_vector_agrees_with_of_entry_by_entry(field, values):
+    expected = _outcome(lambda: tuple(field.of(x) for x in values))
+    found = _outcome(lambda: field.vector(values))
+    assert found == expected
+    if found[0] == "value":
+        assert type(found[1]) is tuple
+        assert [type(x) for x in found[1]] == [type(x) for x in expected[1]]
+    # a generator is read once, like a list
+    assert _outcome(lambda: field.vector(iter(values))) == expected
+
+
+def test_vector_returns_canonical_input_as_it_is():
+    row = (0, 1, 2)
+    assert GF(3).vector(row) is row
+    row = (Fraction(1, 2), Fraction(0))
+    assert QQ.vector(row) is row
+    assert GF(3).vector(()) == ()
+    assert GF(3).vector([3, -1, 2]) == (0, 2, 2)
+    with pytest.raises(ZeroDivisionError):
+        GF(3).vector([1, Fraction(1, 3)])
+    with pytest.raises(TypeError):
+        QQ.vector([Fraction(1), 0.5])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gmalie.algebra import FDAlgebra, _facts
 from gmalie.catalog import load_example
 from gmalie.constructions import (
     dual_numbers,
@@ -13,9 +14,9 @@ from gmalie.constructions import (
     upper_triangular_algebra,
 )
 from gmalie.errors import CharacteristicTwoError, PreconditionError
-from gmalie.fields import GF, QQ
+from gmalie.fields import GF, QQ, Field
 from gmalie.gma import assemble, peirce
-from gmalie.linalg import Matrix
+from gmalie.linalg import Matrix, kernel, sparse_kernel
 from gmalie.spaces import (
     EndoMap,
     central_map_space,
@@ -29,7 +30,7 @@ from gmalie.spaces import (
     proper_space,
 )
 
-from helpers import derivation_nullity, matrix_unit_tensor
+from helpers import derivation_nullity, matrix_unit_tensor, random_basis_tensor, record_calls
 
 
 def _e11(f, n):
@@ -222,3 +223,34 @@ def test_derived_facts_are_computed_once_per_algebra_value(monkeypatch):
     # the rule rows read the bracket tensor, so no kernel (not even the
     # center) is taken in gmalie.algebra
     assert kernels == []
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=repr)
+def test_oracle_canonicalizes_no_scalar_inside_sparse_kernel(monkeypatch, field):
+    # structure constants that are canonical already (ints below p, or
+    # Fractions): the oracle's block matrices go through the public
+    # Matrix(...) once per block, and not one entry through Field.of
+    t4 = upper_triangular_algebra(field, 4)
+    tensor = [[list(row) for row in plane] for plane in t4.structure]
+    unit = list(t4.unit)
+    if field.is_prime_field:
+        tensor, unit = random_basis_tensor(tensor, unit, field.p, random.Random(7))
+    a = FDAlgebra(field, t4.dim, tensor, unit)
+    _facts.cache_clear()
+    calls = record_calls(
+        monkeypatch, (Field, Field.of), (Matrix, Matrix.__init__), kernel, sparse_kernel
+    )
+    derivation_space(a)
+    lie_derivation_space(a)
+    central_map_space(a)
+    proper_space(a)
+    has_lie_derivation_property(a)
+
+    def inside(name):
+        return [c for c in calls if c[0] == name and c[2] and c[2][-1] == "sparse_kernel"]
+
+    assert sum(name == "sparse_kernel" for name, _, _ in calls) >= 3
+    assert [c for c in calls if c[0] == "of" and "sparse_kernel" in c[2]] == []
+    blocks = inside("kernel")
+    assert len(blocks) >= 3
+    assert len(inside("__init__")) == len(blocks)
