@@ -1,16 +1,18 @@
-"""The mod-p elimination kernel: Gauss-Jordan row reduction over GF(p).
+"""The elimination kernel: Gauss-Jordan row reduction over GF(p) and QQ.
 
-Every GF(p) elimination in the package goes through :func:`rref_mod_p`:
-leftmost pivot column, first nonzero row, pivots normalized to 1, full
-clearing above and below.  The reduced row echelon form is unique, so the
-two paths below return the same rows and pivots, bit for bit.  Input rows
-must be canonical, every entry in ``[0, p)``: the packed path relies on it
-for its slot bound.
+Every elimination in the package is leftmost pivot column, first nonzero
+row, pivots normalized to 1, full clearing above and below.  Every GF(p)
+elimination goes through :func:`rref_mod_p`; the reduced row echelon form
+is unique, so its two paths below return the same rows and pivots, bit for
+bit.  Input rows must be canonical, every entry in ``[0, p)``: the packed
+path relies on it for its slot bound.
 
-**Support-list loop** (:func:`_rref_support`).  Rows are lists of ints; a
-pivot row's nonzeros are listed once, and each row it clears is updated on
-that list only.  Cheap when rows stay sparse, and it holds for any modulus
-the field accepts.
+**Support-list loop** (:func:`_rref_support`).  Rows are lists of scalars;
+a pivot row's nonzeros are listed once, and each row it clears is updated
+on that list only.  Cheap when rows stay sparse, and it holds for any
+modulus the field accepts.  It is also the elimination over the rationals,
+called with p = 0: entries are Fractions, a pivot is inverted with
+``1 / pv`` and nothing is reduced mod p.  The packed path is GF(p) only.
 
 **Packed path** (:func:`_rref_packed`).  Each row is one Python int with
 b-bit slots, column c in bits ``[b*c, b*(c+1))``, after Dumas, Fousse and
@@ -118,7 +120,9 @@ def _packed_width(data, p):
 
 
 def _rref_support(data, p):
-    """Gauss-Jordan on lists, each row updated on the pivot row's support."""
+    """Gauss-Jordan on lists, each row updated on the pivot row's support;
+    ``p = 0`` means the rationals.  The field is branched on once per pivot
+    row and once per cleared row, never per entry."""
     rows = [list(r) for r in data]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -137,10 +141,16 @@ def _rref_support(data, p):
         prow = rows[r]
         pv = prow[c]
         if pv != 1:
-            inv = pow(pv, -1, p)
-            for j in range(c, nc):
-                if prow[j]:
-                    prow[j] = prow[j] * inv % p
+            if p:
+                inv = pow(pv, -1, p)
+                for j in range(c, nc):
+                    if prow[j]:
+                        prow[j] = prow[j] * inv % p
+            else:
+                inv = 1 / pv
+                for j in range(c, nc):
+                    if prow[j]:
+                        prow[j] *= inv
         # the pivot row's nonzeros, found once and reused for every row
         support = [(j, pj) for j in range(c, nc) if (pj := prow[j])]
         for i in range(nr):
@@ -149,8 +159,12 @@ def _rref_support(data, p):
             ri = rows[i]
             f = ri[c]
             if f:
-                for j, pj in support:
-                    ri[j] = (ri[j] - f * pj) % p
+                if p:
+                    for j, pj in support:
+                        ri[j] = (ri[j] - f * pj) % p
+                else:
+                    for j, pj in support:
+                        ri[j] -= f * pj
         pivots.append(c)
         r += 1
         if r == nr:

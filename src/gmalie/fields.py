@@ -7,6 +7,7 @@ No floating point appears anywhere in the package.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,6 +28,9 @@ def is_prime(n: int) -> bool:
         f += 2
     return True
 
+
+# the scalar strings a workspace may hold: "a" or "a/b" in ASCII digits
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # Fractions are immutable, so every rational zero and one can be the same object.
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
@@ -110,12 +114,16 @@ class Field:
         return tuple(map(self.of, values))
 
     def parse(self, text):
-        """Parse a JSON scalar: an int, or a decimal fraction string "a/b"."""
+        """Parse a JSON scalar: an int, or a string "a" or "a/b" of ASCII
+        digits with an optional sign.  Nothing else is accepted: no decimals,
+        exponents, spaces, underscores or other digits."""
         if isinstance(text, bool):
             raise TypeError("boolean is not a scalar")
         if isinstance(text, int):
             return self.of(text)
         if isinstance(text, str):
+            if not _SCALAR.fullmatch(text):
+                raise ValueError(f"Invalid literal for Fraction: {text!r}")
             return self.of(Fraction(text))
         raise TypeError(f"scalar must be an int or a fraction string, got {text!r}")
 

@@ -217,49 +217,6 @@ class Matrix:
 # -- elimination core ---------------------------------------------------------
 
 
-def _rref_q(data):
-    """Gauss-Jordan over the rationals with zero-skipping; returns the rank
-    rows only, as ``_kernel.rref_mod_p`` does."""
-    rows = [list(r) for r in data]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = -1
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != 1:
-            inv = 1 / pv
-            for j in range(c, nc):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
-        for i in range(nr):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                for j in range(c, nc):
-                    pj = prow[j]
-                    if pj:
-                        ri[j] = ri[j] - f * pj
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    del rows[r:]
-    return rows, pivots
-
-
 def _echelon(field, data):
     """Dispatch to the field-appropriate elimination; returns (rows, pivots),
     the nonzero rows of the reduced row echelon form and their pivots."""
@@ -267,7 +224,7 @@ def _echelon(field, data):
         return [], []
     if field.is_prime_field:
         return _kernel.rref_mod_p(data, field.p)
-    return _rref_q(data)
+    return _kernel._rref_support(data, 0)
 
 
 def rref(m: Matrix):

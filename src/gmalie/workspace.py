@@ -241,6 +241,9 @@ def load_workspace(path: str) -> Workspace:
         raise ValidationFailure(f"{path}: parse error at line {exc.lineno}: {exc.msg}")
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationFailure(f"{path}: unreadable ({type(exc).__name__}: {exc})") from exc
+    except ValueError as exc:
+        # an integer literal longer than int(str) accepts
+        raise ValidationFailure(f"{path}: parse error: {exc}") from exc
     return parse_workspace(doc, source=path)
 
 

@@ -66,9 +66,13 @@ def modp_rank(rows, p) -> int:
 
 
 def reference_rref_mod_p(data, p):
-    """Gauss-Jordan over GF(p) that reads the pivot row's entries column by
-    column for every row it clears; same contract as ``_kernel.rref_mod_p``:
-    the rank rows only."""
+    """Gauss-Jordan over GF(p), or over the rationals when ``p`` is 0, that
+    reads the pivot row's entries column by column for every row it clears;
+    same contract as ``_kernel.rref_mod_p``: the rank rows only."""
+
+    def reduce(x):
+        return x % p if p else x
+
     rows = [list(r) for r in data]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -87,10 +91,10 @@ def reference_rref_mod_p(data, p):
         prow = rows[r]
         pv = prow[c]
         if pv != 1:
-            inv = pow(pv, -1, p)
+            inv = pow(pv, -1, p) if p else 1 / Fraction(pv)
             for j in range(c, nc):
                 if prow[j]:
-                    prow[j] = prow[j] * inv % p
+                    prow[j] = reduce(prow[j] * inv)
         for i in range(nr):
             if i == r:
                 continue
@@ -100,7 +104,7 @@ def reference_rref_mod_p(data, p):
                 for j in range(c, nc):
                     pj = prow[j]
                     if pj:
-                        ri[j] = (ri[j] - f * pj) % p
+                        ri[j] = reduce(ri[j] - f * pj)
         pivots.append(c)
         r += 1
         if r == nr:

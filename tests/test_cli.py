@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import pytest
 
@@ -278,6 +280,51 @@ def test_large_modulus_exits_two(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "validation failure" in err
     assert "below 2**31" in err
+
+
+# a JSON integer literal past the digit limit that int(str) enforces (4300
+# digits by default), written in place of a placeholder string
+_LONG_LITERAL = "9" * 5000
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int(str) has no digit limit here"
+)
+@pytest.mark.parametrize(
+    "example, mutate",
+    [
+        ("tri2_Q", _set("algebras", "A", "unit", ["LONG"])),
+        ("tri2_GF5", _set("field", "p", "LONG")),
+    ],
+    ids=["unit", "modulus"],
+)
+def test_long_integer_literal_exits_two(capsys, tmp_path, example, mutate):
+    doc = build_document(example)
+    mutate(doc)
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(doc).replace('"LONG"', _LONG_LITERAL))
+    code, out, err = run(capsys, "validate", "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"validation failure: {bad}: parse error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "scalar", ["1e999999999", "1.5", "1e5", " 1", "1_000", "\u0661", "one half"]
+)
+def test_scalar_strings_outside_the_grammar_exit_two(capsys, tmp_path, scalar):
+    doc = build_document("tri2_Q")
+    doc["algebras"]["A"]["unit"] = [scalar]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "validate", "--input", str(bad))
+    assert time.perf_counter() - started < 5
+    assert code == 2
+    assert out == ""
+    assert f"validation failure: {bad}.algebras.A.unit: bad scalar (" in err
+    assert "Traceback" not in err
 
 
 def test_characteristic_two_fuzz_exits_two(capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,38 @@ def test_parse_rejects_non_scalars():
         QQ.parse(1.5)
     with pytest.raises(ValueError):
         QQ.parse("one half")
+
+
+_REFUSED_STRINGS = [
+    "1.5", "0.5/2", "1e5", "1E5", "1e999999999", "1/2e3", "inf", "nan", " 1", "1 ",
+    "1\n", "1 /2", "1_000", "1/1_0", "\u0661", "1/\u0662", "\uff11", "", "+", "-",
+    "1/", "/2", "1/-2", "--1", "0x10", "one half",
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+@pytest.mark.parametrize("text", _REFUSED_STRINGS)
+def test_parse_accepts_only_signed_digit_fractions(field, text):
+    # the grammar is [+-]?[0-9]+(/[0-9]+)?, ASCII digits only; everything
+    # else fails the way "one half" always has
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        field.parse(text)
+
+
+def test_parse_keeps_the_documented_forms():
+    assert QQ.parse("-3") == Fraction(-3)
+    assert QQ.parse("+4/6") == Fraction(2, 3)
+    assert QQ.parse("007/014") == Fraction(1, 2)
+    assert GF(5).parse("-1/2") == 2
+    with pytest.raises(ZeroDivisionError):
+        QQ.parse("1/0")
+
+
+def test_parse_refuses_an_exponent_at_once():
+    started = time.perf_counter()
+    with pytest.raises(ValueError):
+        QQ.parse("1e999999999")
+    assert time.perf_counter() - started < 0.1
 
 
 def test_rational_inverse_is_exact():

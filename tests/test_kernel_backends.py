@@ -7,9 +7,12 @@ from the reduced rows, and the rank from the fraction-free elimination in
 packed-integer path; every system below that reaches the packed path is
 checked bit for bit against ``helpers.reference_rref_mod_p``, and the path
 each system takes is asserted, so neither path goes untested silently.
+The support-list loop is also the elimination over the rationals (p = 0),
+checked against the same reference run over Fractions.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,26 +98,63 @@ def test_empty_inputs():
 
 
 def _sparse_rows(rng, rows, cols, p, density):
+    """Random rows over GF(p), or over QQ when p is 0."""
+    if p:
+        return [
+            [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
     return [
-        [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(cols)]
+        [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+            if rng.random() < density
+            else Fraction(0)
+            for _ in range(cols)
+        ]
         for _ in range(rows)
     ]
 
 
-@pytest.mark.parametrize("p", PRIMES)
+def _combination(rows, coeffs, p):
+    """sum_i coeffs[i] * rows[i], reduced mod p unless p is 0."""
+    out = [sum(k * r[j] for k, r in zip(coeffs, rows)) for j in range(len(rows[0]))]
+    return [x % p for x in out] if p else out
+
+
+def _support_loop(data, p):
+    """The support-list loop as ``linalg._echelon`` reaches it: through
+    ``rref_mod_p`` over GF(p), directly over QQ (p = 0)."""
+    return _kernel.rref_mod_p(data, p) if p else _kernel._rref_support(data, 0)
+
+
+@pytest.mark.parametrize("p", PRIMES + [0])
 def test_support_loop_matches_the_dense_loop(p):
     # rows far outnumber columns, as in the Leibniz systems, and the pivot
-    # rows are sparse; dependent rows come from combinations of a few
+    # rows are sparse; some rows and columns are zero, and dependent rows
+    # come from combinations of a few
     rng = random.Random(p + 2)
+    zero = 0 if p else Fraction(0)
     for rows, cols, density in ((60, 6, 0.3), (200, 12, 0.15), (120, 20, 0.05), (30, 30, 0.5)):
         data = _sparse_rows(rng, rows, cols, p, density)
-        assert _kernel.rref_mod_p(data, p) == reference_rref_mod_p(data, p)
-        few = _sparse_rows(rng, 3, cols, p, density)
+        for i in rng.sample(range(rows), 3):
+            data[i] = [zero] * cols
+        for j in rng.sample(range(cols), 2):
+            for row in data:
+                row[j] = zero
+        reduced, pivots = _support_loop(data, p)
+        assert (reduced, pivots) == reference_rref_mod_p(data, p)
+        assert not set(pivots) & {j for j in range(cols) if all(not row[j] for row in data)}
+        few = _sparse_rows(rng, 3, cols, p, max(density, 0.3))
         mixed = [
-            [sum(rng.randrange(p) * r[j] for r in few) % p for j in range(cols)]
+            _combination(few, [rng.randrange(p) if p else rng.randint(-3, 3) for _ in few], p)
             for _ in range(rows)
         ]
-        assert _kernel.rref_mod_p(mixed, p) == reference_rref_mod_p(mixed, p)
+        reduced, pivots = _support_loop(mixed, p)
+        assert (reduced, pivots) == reference_rref_mod_p(mixed, p)
+        assert len(pivots) <= 3
+    for rows, cols in SHAPES:
+        data = _sparse_rows(rng, rows, cols, p, 1.0)
+        assert _support_loop(data, p) == reference_rref_mod_p(data, p)
 
 
 # -- the two paths -----------------------------------------------------------------
