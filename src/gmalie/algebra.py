@@ -154,18 +154,17 @@ class FDAlgebra:
 def _bilinear(f, tensor, x, y, out_dim) -> tuple:
     """sum_{i,j} x_i y_j tensor[i][j], the product that a rank-3 structure or
     action tensor defines."""
-    z = f.zero
-    acc = [z] * out_dim
+    acc = [f.zero] * out_dim
     for i, xi in enumerate(x):
-        if xi == z:
+        if not xi:
             continue
         plane = tensor[i]
         for j, yj in enumerate(y):
-            if yj == z:
+            if not yj:
                 continue
             c = f.mul(xi, yj)
             for k, s in enumerate(plane[j]):
-                if s != z:
+                if s:
                     acc[k] = f.add(acc[k], f.mul(c, s))
     return tuple(acc)
 
@@ -385,22 +384,29 @@ def _lie_generators(a: FDAlgebra) -> tuple:
     return _greedy_generators(a.field, a.dim, _bracket_terms(a).out)
 
 
-@_memo
-def commutation_operator(a: FDAlgebra) -> Matrix:
-    """Stacked matrix of x -> ([e_0, x], ..., [e_{d-1}, x]); kernel = center.
+def _commutation_rows(a: FDAlgebra, members) -> Matrix:
+    """Stacked matrix of x -> [e_i, x] over the i in ``members``.
 
-    Row i*d + k, column m holds the e_k coefficient of [e_i, e_m], so the
-    matrix shares its scalars with the bracket tensor.
+    Row t*d + k, for the t-th member i, column m holds the e_k coefficient
+    of [e_i, e_m], so the matrix shares its scalars with the bracket tensor.
     """
     bracket = _bracket_tensor(a)
     d = a.dim
-    rows = [[bracket[i][m][k] for m in range(d)] for i in range(d) for k in range(d)]
+    rows = [[bracket[i][m][k] for m in range(d)] for i in members for k in range(d)]
     return Matrix(a.field, rows, cols=d)
 
 
 @_memo
+def commutation_operator(a: FDAlgebra) -> Matrix:
+    """Stacked matrix of x -> ([e_0, x], ..., [e_{d-1}, x]); kernel = center."""
+    return _commutation_rows(a, range(a.dim))
+
+
+@_memo
 def center(a: FDAlgebra) -> Subspace:
-    return kernel(commutation_operator(a))
+    """The centralizer of the Lie generators: whatever commutes with each
+    member commutes with their iterated brackets, which span the algebra."""
+    return kernel(_commutation_rows(a, _lie_generators(a)))
 
 
 @_memo

@@ -414,12 +414,11 @@ class Subspace:
         v = list(f.vector(vec))
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient dimension mismatch")
-        z = f.zero
         for row, piv in zip(self.basis.entries, self.pivot_columns()):
             c = v[piv]
-            if c != z:
+            if c:
                 for j in range(piv, self.ambient_dim):
-                    if row[j] != z:
+                    if row[j]:
                         v[j] = f.sub(v[j], f.mul(c, row[j]))
         return tuple(v)
 

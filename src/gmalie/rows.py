@@ -30,7 +30,7 @@ def add_row(rows: list, f, tag, terms):
     row = {}
     for c, x in terms:
         row[c] = f.add(row[c], x) if c in row else x
-    cols = tuple(c for c, x in row.items() if x != f.zero)
+    cols = tuple(c for c, x in row.items() if x)
     if cols:
         rows.append((tag, cols, tuple(row[c] for c in cols)))
 
@@ -161,16 +161,15 @@ def failing_tags(f, rows, flat):
     """Yield the tag of every row with a nonzero product against the
     vector ``flat``, once per tag and in row order.  The rows of one tag
     must be adjacent; those after its first failing row are skipped."""
-    z = f.zero
     failed = None
     for tag, cols, coeffs in rows:
         if tag == failed:
             continue
-        acc = z
+        acc = f.zero
         for c, x in zip(cols, coeffs):
             v = flat[c]
-            if v != z:
+            if v:
                 acc = f.add(acc, f.mul(x, v))
-        if acc != z:
+        if acc:
             failed = tag
             yield tag

@@ -5,26 +5,26 @@ with verified witness decompositions.
 A linear self-map is a square matrix acting on coordinate columns; a space
 of maps is a subspace of F^(d*d) under row-major flattening (the matrix
 entry (r, c) lands at flat index r*d + c).  The rules are tagged rows over
-that flattening, built, solved and read by ``rows``: the spaces solve the
-rows of a generating set, the pointwise checks read every row.  All
-operations here refuse to run over fields of characteristic two: the
-decomposition theory needs two-torsion free modules, and over GF(2) nothing
-nonzero is.
+that flattening, built, solved and read by ``rows``: the derivation and
+Lie-derivation spaces solve the rows of a generating set, the central maps
+are built in closed form from the center and the commutator span, and the
+pointwise checks read every row.  All operations here refuse to run over
+fields of characteristic two: the decomposition theory needs two-torsion
+free modules, and over GF(2) nothing nonzero is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FDAlgebra, _generators, _lie_generators, _memo
+from .algebra import FDAlgebra, _generators, _lie_generators, _memo, center, commutator_span
 from .errors import CharacteristicTwoError, ConsistencyError, DimensionMismatch, PreconditionError
 from .gma import GMAlgebra
-from .linalg import Matrix, Subspace, solve, subspace_sum
+from .linalg import Matrix, Subspace, kernel, solve, subspace_sum
 from .rows import (
     bracket_rows,
     bracket_system,
     central_rows,
-    central_system,
     failing_tags,
     product_rows,
     product_system,
@@ -122,11 +122,12 @@ def _require_odd(a: FDAlgebra):
         )
 
 
-# The spaces solve only the rows of a generating set.  The x that obey the
-# product rule against every y form a subalgebra, and for the bracket rule a
-# Lie subalgebra (Jacobi); the centralizer of a Lie generating set is the
-# center.  So pairs (s, j) with s in S, pairs i < j meeting S_Lie, and values
-# commuting with S_Lie cut out the same spaces as every row of the rule.
+# The derivation and Lie-derivation spaces solve only the rows of a
+# generating set.  The x that obey the product rule against every y form a
+# subalgebra, and for the bracket rule a Lie subalgebra (Jacobi).  So pairs
+# (s, j) with s in S and pairs i < j meeting S_Lie cut out the same spaces
+# as every row of the rule.  The central maps need no rows: they are the
+# maps from A/[A, A] to the center, which is the centralizer of S_Lie.
 
 
 @_memo
@@ -141,8 +142,20 @@ def _lie_derivation_space(a: FDAlgebra) -> MapSpace:
 
 @_memo
 def _central_map_space(a: FDAlgebra) -> MapSpace:
-    """Maps with all values central that kill every commutator."""
-    return MapSpace(a.dim, solutions(a, central_system(a, _lie_generators(a))))
+    """Maps with all values central that kill every commutator: the maps
+    z w^T, z in Z(A) and w in ann([A, A]), so vec(L)[r*d + c] = z[r] w[c].
+    Nested in basis order, z outer, these are already the RREF basis:
+    z_k w_j has its leading 1 at p_k*d + q_j, for the pivots p_k of z_k and
+    q_j of w_j, and every other product is zero there."""
+    f, d = a.field, a.dim
+    mul, z = f.mul, f.zero
+    ann = kernel(Matrix(f, commutator_span(a).basis.entries, cols=d))
+    vectors = [
+        tuple(mul(zr, wc) if zr and wc else z for zr in zv for wc in wv)
+        for zv in center(a).basis.entries
+        for wv in ann.basis.entries
+    ]
+    return MapSpace(d, Subspace(f, d * d, vectors, _reduced=True))
 
 
 def derivation_space(g) -> MapSpace:

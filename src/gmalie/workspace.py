@@ -11,6 +11,7 @@ and the first violated identity.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra
@@ -242,8 +243,12 @@ def load_workspace(path: str) -> Workspace:
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationFailure(f"{path}: unreadable ({type(exc).__name__}: {exc})") from exc
     except ValueError as exc:
-        # an integer literal longer than int(str) accepts
-        raise ValidationFailure(f"{path}: parse error: {exc}") from exc
+        # an integer literal longer than int(str) accepts; Python's message
+        # advises raising the limit, which a user of this tool cannot do
+        raise ValidationFailure(
+            f"{path}: parse error: an integer literal is longer than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
     return parse_workspace(doc, source=path)
 
 

@@ -307,6 +307,9 @@ def test_long_integer_literal_exits_two(capsys, tmp_path, example, mutate):
     assert code == 2
     assert out == ""
     assert err.startswith(f"validation failure: {bad}: parse error: ")
+    assert f"longer than {sys.get_int_max_str_digits()} digits" in err
+    # Python's own advice, to raise the limit, is not for a user to act on
+    assert "set_int_max_str_digits" not in err
     assert "Traceback" not in err
 
 

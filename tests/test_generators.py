@@ -1,11 +1,13 @@
 """Generator-reduced constraint systems against every row of each rule.
 
-The derivation, Lie-derivation and central-map spaces are solved from the
-rows of a generating set only (``algebra._generators`` and
-``_lie_generators``); ``helpers.reference_solutions`` solves all rows of the
-rule at once.  Both must give the same canonical basis.  The generating sets
-themselves are checked by an independent closure, and the full rows against
-the earlier builders that scan the whole tensor.
+The derivation and Lie-derivation spaces are solved from the rows of a
+generating set only (``algebra._generators`` and ``_lie_generators``), and
+the central-map space is built in closed form from the center, which is
+the centralizer of the Lie generators; ``helpers.reference_solutions``
+solves all rows of each rule at once.  Both must give the same canonical
+basis.  The generating sets themselves are checked by an independent
+closure, the center against the kernel of every bracket row, and the full
+rows against the earlier builders that scan the whole tensor.
 """
 
 import random
@@ -15,7 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmalie.algebra import FDAlgebra, _generators, _lie_generators
+from gmalie.algebra import (
+    FDAlgebra,
+    _generators,
+    _lie_generators,
+    center,
+    commutation_operator,
+    commutator_span,
+)
 from gmalie.catalog import EXAMPLE_NAMES, load_example
 from gmalie.constructions import (
     matrix_algebra,
@@ -27,7 +36,7 @@ from gmalie.constructions import (
 from gmalie.fields import GF, QQ
 from gmalie.fuzzing import FuzzConfig, generate_contexts
 from gmalie.gma import assemble
-from gmalie.linalg import Matrix
+from gmalie.linalg import Matrix, Subspace, kernel
 from gmalie.rows import (
     bracket_rows,
     bracket_system,
@@ -43,6 +52,7 @@ from gmalie.spaces import (
     _derivation_space,
     _lie_derivation_space,
     derivation_defect,
+    is_central_commutator_free,
 )
 
 from helpers import closure, random_basis_tensor, reference_rule_rows, reference_solutions
@@ -58,6 +68,15 @@ def _assert_reduced_solves_match(a):
     for space, rows, _ in SYSTEMS:
         expected = reference_solutions(a.field, a.dim**2, [(c, x) for _, c, x in rows(a)])
         assert space(a).space == expected, space.__name__
+
+
+def _assert_center_and_commutators(a):
+    """The center from the Lie generators' bracket rows is the kernel of
+    all d^2 of them, and the commutator span is spanned by every bracket."""
+    assert center(a) == kernel(commutation_operator(a))
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    brackets = [a.bracket(x, y) for x in basis for y in basis]
+    assert commutator_span(a) == Subspace(a.field, a.dim, brackets)
 
 
 def _assert_generating_sets(a):
@@ -96,6 +115,7 @@ def test_examples(name):
     a = _example(name)
     _assert_reduced_solves_match(a)
     _assert_generating_sets(a)
+    _assert_center_and_commutators(a)
 
 
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
@@ -103,6 +123,7 @@ def test_fuzz_slice(field):
     for a in _fuzz_algebras(field):
         _assert_reduced_solves_match(a)
         _assert_generating_sets(a)
+        _assert_center_and_commutators(a)
 
 
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=repr)
@@ -142,6 +163,7 @@ def test_random_basis_twins(make, n, p):
         _assert_reduced_solves_match(a)
     assert closure(a, _generators(a), a.multiply).dim == a.dim
     assert closure(a, _lie_generators(a), a.bracket).dim == a.dim
+    _assert_center_and_commutators(a)
 
 
 SMALL = (
@@ -160,6 +182,19 @@ def test_hypothesis_random_bases(small, p, seed):
     a = _twin(make, n, p, seed)
     _assert_reduced_solves_match(a)
     _assert_generating_sets(a)
+    _assert_center_and_commutators(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL), st.sampled_from([3, 5]), st.integers(0, 2**32))
+def test_central_maps_are_center_valued_maps_of_the_abelianization(small, p, seed):
+    # Cen = Hom(A / [A, A], Z(A)), so dim Cen = dim Z * (d - dim [A, A])
+    make, n = small
+    a = _twin(make, n, p, seed)
+    cen = _central_map_space(a)
+    assert cen.dim == center(a).dim * (a.dim - commutator_span(a).dim)
+    for endo in cen.basis_maps():
+        assert is_central_commutator_free(a, endo)
 
 
 @pytest.mark.parametrize(
