@@ -398,7 +398,10 @@ def _commutation_rows(a: FDAlgebra, members) -> Matrix:
 
 @_memo
 def commutation_operator(a: FDAlgebra) -> Matrix:
-    """Stacked matrix of x -> ([e_0, x], ..., [e_{d-1}, x]); kernel = center."""
+    """Stacked matrix of x -> ([e_0, x], ..., [e_{d-1}, x]); kernel = center.
+
+    The d^2 rows serve ad(s), the inner derivation that a presentation's
+    rebuild adds; centrality itself is asked of the memoized ``center``."""
     return _commutation_rows(a, range(a.dim))
 
 
@@ -420,12 +423,13 @@ def central_ideal_subspace(a: FDAlgebra) -> Subspace:
     """K = {c in Z(A) : A*c contained in Z(A)}.
 
     For a unital algebra the two-sided ideal generated by central c is A*c,
-    so K is nonzero exactly when A contains a nonzero central ideal.
+    so K is nonzero exactly when A contains a nonzero central ideal.  A*c in
+    Z(A) already puts c = 1*c there, so K is the kernel of R*L(e_i) stacked
+    over every i, where R is the center's membership operator (kernel
+    exactly Z(A)) and L(e_i) left multiplication: d^2 rows.
     """
-    comm = commutation_operator(a)
-    blocks = [comm]
-    for i in range(a.dim):
-        blocks.append(comm @ a.left_mult(a.basis_vector(i)))
+    r = center(a).membership_operator()
+    blocks = [r @ a.left_mult(a.basis_vector(i)) for i in range(a.dim)]
     return kernel(Matrix.vstack(a.field, blocks, cols=a.dim))
 
 

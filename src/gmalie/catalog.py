@@ -79,10 +79,7 @@ def _tri2_document(field) -> dict:
 
 def _peirce_document(field, n) -> dict:
     alg = matrix_algebra(field, n)
-    corner = [field.zero] * (n * n)
-    corner[0] = field.one
-    ctx = peirce(alg, corner)
-    return _context_document(ctx)
+    return _context_document(peirce(alg, alg.basis_vector(0)))
 
 
 def _trivial_qqq_document() -> dict:

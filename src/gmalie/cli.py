@@ -107,7 +107,8 @@ def _pick_context(ws, args):
         try:
             return ws.sole_context_name()
         except KeyError as exc:
-            raise _UsageError(str(exc))
+            # str() of a KeyError quotes its message
+            raise _UsageError(exc.args[0]) from None
     if name not in ws.contexts:
         raise _UsageError(f"no context named {name!r} in {ws.source}")
     return name

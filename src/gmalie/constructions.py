@@ -5,12 +5,15 @@ the bundled example library and the fuzzer."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 from operator import attrgetter
 
 from .algebra import FDAlgebra
 from .errors import DimensionMismatch
 from .fields import Field
+from .gma import induced_algebra, induced_bimodule
+from .linalg import Subspace
 from .morita import Bimodule, MoritaContext
 
 __all__ = [
@@ -116,14 +119,9 @@ def two_nilpotents_algebra(f: Field) -> FDAlgebra:
 # -- bimodules --------------------------------------------------------------------
 
 
-def _mult_action(alg: FDAlgebra):
-    """Action tensor of an algebra multiplying itself."""
-    return alg.structure
-
-
 def regular_bimodule(alg: FDAlgebra) -> Bimodule:
     """The algebra as a bimodule over itself by multiplication."""
-    return Bimodule(alg, alg, alg.dim, _mult_action(alg), _mult_action(alg))
+    return Bimodule(alg, alg, alg.dim, alg.structure, alg.structure)
 
 
 def left_regular_bimodule(alg: FDAlgebra, right: FDAlgebra) -> Bimodule:
@@ -136,7 +134,7 @@ def left_regular_bimodule(alg: FDAlgebra, right: FDAlgebra) -> Bimodule:
     right_action = tuple(
         (tuple(f.mul(lam, x) for x in alg.basis_vector(i)),) for i in range(alg.dim)
     )
-    return Bimodule(alg, right, alg.dim, _mult_action(alg), right_action)
+    return Bimodule(alg, right, alg.dim, alg.structure, right_action)
 
 
 def right_regular_bimodule(left: FDAlgebra, alg: FDAlgebra) -> Bimodule:
@@ -148,7 +146,7 @@ def right_regular_bimodule(left: FDAlgebra, alg: FDAlgebra) -> Bimodule:
     left_action = (
         tuple(tuple(f.mul(lam, x) for x in alg.basis_vector(j)) for j in range(alg.dim)),
     )
-    return Bimodule(left, alg, alg.dim, left_action, _mult_action(alg))
+    return Bimodule(left, alg, alg.dim, left_action, alg.structure)
 
 
 def zero_bimodule(left: FDAlgebra, right: FDAlgebra) -> Bimodule:
@@ -186,55 +184,16 @@ def ambient_commutative_context(f: Field) -> MoritaContext:
     diagonal algebras are two-dimensional subalgebras (spanned by the unit
     and one nilpotent each), both modules are the full three-dimensional
     ambient algebra with multiplication actions, and the pairings vanish."""
-    z, o = f.zero, f.one
     amb = two_nilpotents_algebra(f)
-    # subalgebra bases inside the ambient coordinates
-    a_basis = ((o, z, z), (z, o, z))
-    b_basis = ((o, z, z), (z, z, o))
-
-    def subalgebra(basis):
-        tensor = []
-        for x in basis:
-            plane = []
-            for y in basis:
-                prod = amb.multiply(x, y)
-                plane.append(_ambient_coords(prod, basis))
-            tensor.append(tuple(plane))
-        # (r + s*nil)^2 = r^2 + 2rs*nil forces r in {0,1} and s = 0, so the
-        # idempotents are exactly 0 and 1 over any two-torsion free field
-        return FDAlgebra(
-            f,
-            len(basis),
-            tuple(tensor),
-            _ambient_coords(amb.unit, basis),
-            idempotents_complete=f.characteristic != 2,
-        )
-
-    def _ambient_coords(vec, basis):
-        # bases here are subsets of the ambient basis; read coordinates off
-        out = []
-        for b in basis:
-            idx = b.index(o)
-            out.append(vec[idx])
-        return tuple(out)
-
-    alg_a = subalgebra(a_basis)
-    alg_b = subalgebra(b_basis)
-
-    def action_left(basis_left):
-        return tuple(
-            tuple(amb.multiply(x, amb.basis_vector(j)) for j in range(3))
-            for x in basis_left
-        )
-
-    def action_right(basis_right):
-        return tuple(
-            tuple(amb.multiply(amb.basis_vector(i), y) for y in basis_right)
-            for i in range(3)
-        )
-
-    mod_m = Bimodule(alg_a, alg_b, 3, action_left(a_basis), action_right(b_basis))
-    mod_n = Bimodule(alg_b, alg_a, 3, action_left(b_basis), action_right(a_basis))
+    s_a, s_b = (Subspace(f, 3, [amb.unit, amb.basis_vector(k)]) for k in (1, 2))
+    # (r + s*nil)^2 = r^2 + 2rs*nil forces r in {0,1} and s = 0, so the
+    # idempotents are exactly 0 and 1 over any two-torsion free field
+    complete = f.characteristic != 2
+    alg_a = replace(induced_algebra(amb, s_a, amb.unit, "corner A"), idempotents_complete=complete)
+    alg_b = replace(induced_algebra(amb, s_b, amb.unit, "corner B"), idempotents_complete=complete)
+    full = Subspace.full(f, 3)
+    mod_m = induced_bimodule(amb, full, alg_a, s_a, alg_b, s_b, "module M")
+    mod_n = induced_bimodule(amb, full, alg_b, s_b, alg_a, s_a, "module N")
     return trivial_context(alg_a, alg_b, mod_m, mod_n)
 
 

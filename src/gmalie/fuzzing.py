@@ -67,7 +67,7 @@ def _catalog(f: Field):
     def add(label, dims, builder):
         entries.append((label, dims, builder))
 
-    add("mat2_peirce", (1, 1, 1, 1), lambda: peirce(matrix_algebra(f, 2), _e11(f, 2)))
+    add("mat2_peirce", (1, 1, 1, 1), lambda: _peirce_e11(matrix_algebra(f, 2)))
     add(
         "mat2_peirce_skew",
         (1, 1, 1, 1),
@@ -76,7 +76,7 @@ def _catalog(f: Field):
     add(
         "tri2_peirce",
         (1, 1, 0, 1),
-        lambda: peirce(upper_triangular_algebra(f, 2), _tri_e11(f, 2)),
+        lambda: _peirce_e11(upper_triangular_algebra(f, 2)),
     )
     add(
         "tri_scalar",
@@ -138,32 +138,22 @@ def _catalog(f: Field):
     add(
         "tri3_peirce",
         (1, 2, 0, 3),
-        lambda: peirce(upper_triangular_algebra(f, 3), _tri_e11(f, 3)),
+        lambda: _peirce_e11(upper_triangular_algebra(f, 3)),
     )
-    add("mat3_peirce", (1, 2, 2, 4), lambda: peirce(matrix_algebra(f, 3), _e11(f, 3)))
+    add("mat3_peirce", (1, 2, 2, 4), lambda: _peirce_e11(matrix_algebra(f, 3)))
     add("ambient_nilpotents", (2, 3, 3, 2), lambda: ambient_commutative_context(f))
     return entries
 
 
-def _e11(f, n):
-    z, o = f.zero, f.one
-    vec = [z] * (n * n)
-    vec[0] = o
-    return tuple(vec)
+def _peirce_e11(a):
+    # e11, the first basis vector of the matrix and triangular algebras
+    return peirce(a, a.basis_vector(0))
 
 
 def _skew_idempotent(f):
     # e11 + e12 in the 2x2 matrix-unit basis
     z, o = f.zero, f.one
     return (o, o, z, z)
-
-
-def _tri_e11(f, n):
-    z, o = f.zero, f.one
-    d = n * (n + 1) // 2
-    vec = [z] * d
-    vec[0] = o
-    return tuple(vec)
 
 
 def _fits(dims, bounds):

@@ -34,6 +34,8 @@ __all__ = [
     "assemble",
     "center_analysis",
     "peirce",
+    "induced_algebra",
+    "induced_bimodule",
     "is_trivial",
     "gma_structure_tensor",
 ]
@@ -229,6 +231,42 @@ def _peirce_corners(a: FDAlgebra, idem):
     return p, q, (corner(p, p), corner(p, q), corner(q, p), corner(q, q))
 
 
+def _block_coords(space: Subspace, vec, what):
+    out = space.coordinates(vec)
+    if out is None:
+        raise ConsistencyError(f"peirce block product escaped its block ({what})")
+    return out
+
+
+def induced_algebra(a: FDAlgebra, space: Subspace, unit, what) -> FDAlgebra:
+    """The algebra that A's product induces on the subalgebra ``space``, in
+    its canonical RREF basis, with unit ``unit`` (a vector of A in
+    ``space``).  A product outside ``space`` raises ConsistencyError naming
+    ``what``."""
+    basis = space.basis.entries
+    tensor = [[_block_coords(space, a.multiply(x, y), what) for y in basis] for x in basis]
+    return FDAlgebra(a.field, space.dim, tensor, _block_coords(space, unit, what))
+
+
+def induced_bimodule(
+    a: FDAlgebra, space: Subspace, left_alg, left_space, right_alg, right_space, what
+) -> Bimodule:
+    """The bimodule that A's product induces on ``space`` over the algebras
+    ``left_alg`` and ``right_alg`` induced on ``left_space`` and
+    ``right_space``, each in its canonical RREF basis.  A product outside
+    ``space`` raises ConsistencyError naming ``what``."""
+    basis = space.basis.entries
+    left_action = [
+        [_block_coords(space, a.multiply(x, m), what) for m in basis]
+        for x in left_space.basis.entries
+    ]
+    right_action = [
+        [_block_coords(space, a.multiply(m, y), what) for y in right_space.basis.entries]
+        for m in basis
+    ]
+    return Bimodule(left_alg, right_alg, space.dim, left_action, right_action)
+
+
 def peirce(a: FDAlgebra, idem) -> MoritaContext:
     """Peirce decomposition of a unital algebra at a nontrivial idempotent.
 
@@ -237,47 +275,17 @@ def peirce(a: FDAlgebra, idem) -> MoritaContext:
     are induced by multiplication in A.  Bases are the canonical RREF bases
     of the four block subspaces.
     """
-    f = a.field
     p, q, (s_a, s_m, s_n, s_b) = _peirce_corners(a, idem)
-
-    def coords(space, vec, what):
-        out = space.coordinates(vec)
-        if out is None:
-            raise ConsistencyError(f"peirce block product escaped its block ({what})")
-        return out
-
-    def algebra_from(space, unit_vec, what):
-        basis = space.basis.entries
-        tensor = [
-            [coords(space, a.multiply(x, y), what) for y in basis]
-            for x in basis
-        ]
-        return FDAlgebra(f, space.dim, tensor, coords(space, unit_vec, what))
-
-    alg_a = algebra_from(s_a, p, "corner A")
-    alg_b = algebra_from(s_b, q, "corner B")
-
-    def bimodule_from(space, left_alg, left_space, right_alg, right_space, what):
-        basis = space.basis.entries
-        left_action = [
-            [coords(space, a.multiply(x, m), what) for m in basis]
-            for x in left_space.basis.entries
-        ]
-        right_action = [
-            [coords(space, a.multiply(m, y), what) for y in right_space.basis.entries]
-            for m in basis
-        ]
-        return Bimodule(left_alg, right_alg, space.dim, left_action, right_action)
-
-    mod_m = bimodule_from(s_m, alg_a, s_a, alg_b, s_b, "module M")
-    mod_n = bimodule_from(s_n, alg_b, s_b, alg_a, s_a, "module N")
-
+    alg_a = induced_algebra(a, s_a, p, "corner A")
+    alg_b = induced_algebra(a, s_b, q, "corner B")
+    mod_m = induced_bimodule(a, s_m, alg_a, s_a, alg_b, s_b, "module M")
+    mod_n = induced_bimodule(a, s_n, alg_b, s_b, alg_a, s_a, "module N")
     pair_mn = [
-        [coords(s_a, a.multiply(m, n), "pairing MN") for n in s_n.basis.entries]
+        [_block_coords(s_a, a.multiply(m, n), "pairing MN") for n in s_n.basis.entries]
         for m in s_m.basis.entries
     ]
     pair_nm = [
-        [coords(s_b, a.multiply(n, m), "pairing NM") for m in s_m.basis.entries]
+        [_block_coords(s_b, a.multiply(n, m), "pairing NM") for m in s_m.basis.entries]
         for n in s_n.basis.entries
     ]
     return MoritaContext(alg_a, alg_b, mod_m, mod_n, pair_mn, pair_nm)

@@ -720,7 +720,7 @@ def central_pair_subalgebra(
         for i in range(da)
     ]
     pair_map = Matrix.from_columns(f, embed_cols, rows=g.algebra.dim)
-    space = kernel(commutation_operator(g.algebra) @ pair_map)
+    space = kernel(center(g.algebra).membership_operator() @ pair_map)
 
     analysis = center_analysis(g)
     preimage = kernel(analysis.proj_b.membership_operator() @ parts.a_to_center_b)

@@ -73,26 +73,6 @@ def bracket_system(a: FDAlgebra, members) -> tuple:
     return leibniz_rows(a, _bracket_terms(a), pairs)
 
 
-def central_system(a: FDAlgebra, members) -> tuple:
-    """Every value commuting with the basis vectors of ``members``,
-    [e_i, T(e_s)] = 0 for i in ``members``, tagged ("value", s); then every
-    commutator killed, T(w) = 0, tagged ("commutator", r) for the r-th basis
-    vector w of the commutator span."""
-    f, d, z = a.field, a.dim, a.field.zero
-    right = _bracket_terms(a).right
-    rows = []
-    for s in range(d):
-        tag = ("value", s)
-        for i in members:
-            for k in range(d):
-                add_row(rows, f, tag, [(m * d + s, c) for m, c in right[i][k]])
-    for r, w in enumerate(commutator_span(a).basis.entries):
-        tag = ("commutator", r)
-        for k in range(d):
-            add_row(rows, f, tag, [(k * d + s, ws) for s, ws in enumerate(w) if ws != z])
-    return tuple(rows)
-
-
 @_memo
 def product_rows(a: FDAlgebra) -> tuple:
     return product_system(a, range(a.dim))
@@ -105,7 +85,22 @@ def bracket_rows(a: FDAlgebra) -> tuple:
 
 @_memo
 def central_rows(a: FDAlgebra) -> tuple:
-    return central_system(a, range(a.dim))
+    """Every value commuting with every basis vector, [e_i, T(e_s)] = 0,
+    tagged ("value", s); then every commutator killed, T(w) = 0, tagged
+    ("commutator", r) for the r-th basis vector w of the commutator span."""
+    f, d, z = a.field, a.dim, a.field.zero
+    right = _bracket_terms(a).right
+    rows = []
+    for s in range(d):
+        tag = ("value", s)
+        for i in range(d):
+            for k in range(d):
+                add_row(rows, f, tag, [(m * d + s, c) for m, c in right[i][k]])
+    for r, w in enumerate(commutator_span(a).basis.entries):
+        tag = ("commutator", r)
+        for k in range(d):
+            add_row(rows, f, tag, [(k * d + s, ws) for s, ws in enumerate(w) if ws != z])
+    return tuple(rows)
 
 
 def unit(f, n, i, x=None) -> tuple:

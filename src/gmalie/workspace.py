@@ -65,6 +65,8 @@ class Workspace:
         return self._assembled[name]
 
     def sole_context_name(self) -> str:
+        if not self.contexts:
+            raise KeyError(f"{self.source} has no context")
         if len(self.contexts) != 1:
             raise KeyError(
                 f"{self.source} has {len(self.contexts)} contexts; pick one explicitly"

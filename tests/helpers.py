@@ -14,7 +14,8 @@ vectors, and its earlier rebuilds, which assemble a map column by column
 through the module actions; the context references are its earlier
 validators, which check each module, pairing and diagram law on basis tuples;
 the structure reference is its earlier validation, which tests the
-associator on every basis triple.
+associator on every basis triple; the central-ideal and central-pair
+references are its earlier solves against every bracket row.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 import gmalie.algebra
 import gmalie.morita
-from gmalie.algebra import _bilinear, center, commutator_span
+from gmalie.algebra import _bilinear, center, commutation_operator, commutator_span
 from gmalie.errors import Violation
 from gmalie.gma import center_analysis
 from gmalie.linalg import Matrix, Subspace, kernel, solve
@@ -378,6 +379,29 @@ def reference_rule_rows(a):
             terms = [(k * d + s, ws) for s, ws in enumerate(w) if ws != z]
             _append_row(central, f, ("commutator", r), terms)
     return product, lie, tuple(central)
+
+
+def reference_central_ideal_subspace(a) -> Subspace:
+    """K = {c : [e_i, c] = 0 and [e_i, e_j c] = 0 for all i, j}, the kernel
+    of every bracket row stacked with their products by each left
+    multiplication: (d^3 + d^2) rows."""
+    comm = commutation_operator(a)
+    blocks = [comm] + [comm @ a.left_mult(a.basis_vector(j)) for j in range(a.dim)]
+    return kernel(Matrix.vstack(a.field, blocks, cols=a.dim))
+
+
+def reference_central_pair_space(g, center_map_a, parts) -> Subspace:
+    """The a in A with a + center_map_a(a) + a_to_center_b(a) central in
+    the assembled algebra, as the kernel of every bracket row after the
+    pair map."""
+    f = g.field
+    zero_m, zero_n = ((f.zero,) * k for k in g.block_dims[1:3])
+    cols = [
+        g.embed(center_map_a.column(i), zero_m, zero_n, parts.a_to_center_b.column(i))
+        for i in range(center_map_a.cols)
+    ]
+    pair_map = Matrix.from_columns(f, cols, rows=g.algebra.dim)
+    return kernel(commutation_operator(g.algebra) @ pair_map)
 
 
 def closure(a, members, op) -> Subspace:

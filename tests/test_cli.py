@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from gmalie.algebra import commutation_operator
 from gmalie.catalog import build_document, load_example
 from gmalie.cli import main
 from gmalie.gma import center_analysis, gma_structure_tensor
@@ -181,6 +182,41 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "examples", "nope")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "contexts, message",
+    [({}, "has no context"), ({"G": "G", "H": "G"}, "has 2 contexts; pick one explicitly")],
+    ids=["none", "two"],
+)
+def test_analyze_without_a_sole_context_exits_one(capsys, tmp_path, contexts, message):
+    doc = build_document("tri2_GF5")
+    doc["contexts"] = {name: doc["contexts"][src] for name, src in contexts.items()}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {path} {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--input", "example_sec4"),
+        ("analyze", "--input", "mat3_GF3_peirce", "--format", "json"),
+        ("theorems", "--input", "example_sec4"),
+        ("theorems", "--input", "mat2_GF3_peirce", "--format", "json"),
+        ("fuzz", "--seed", "1", "--count", "12", "--max-dim", "4", "--field", "3"),
+    ],
+    ids=["analyze-sec4", "analyze-mat3", "theorems-sec4", "theorems-mat2", "fuzz"],
+)
+def test_centrality_is_asked_of_the_center_not_the_full_bracket_rows(capsys, monkeypatch, argv):
+    # central ideals and the central-pair subalgebra read the memoized
+    # center; only a presentation rebuild (the proper command) needs ad(s)
+    calls = record_calls(monkeypatch, commutation_operator)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == []
+
+
 def test_validation_failures_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     doc = build_document("tri2_Q")
@@ -265,6 +301,38 @@ def test_malformed_workspace_sections_exit_two(capsys, tmp_path, mutate, named):
     assert code == 2
     assert f"validation failure: {bad}.{named}" in err
     assert "Traceback" not in err
+
+
+def _extra_bimodule(doc):
+    doc["bimodules"]["X"] = dict(doc["bimodules"]["M"], right_action=[[[2]]])
+
+
+@pytest.mark.parametrize(
+    "mutate, lines",
+    [
+        (
+            _set("bimodules", "M", "left_action", [[[2]]]),
+            ["bimodules.M: module axiom violated: module_left_unit at (0,)",
+             "  module_left_unit at (0,)", "  module_left_assoc at (0, 0, 0)"],
+        ),
+        (
+            _extra_bimodule,
+            ["bimodules.X: module axiom violated: module_right_unit at (0,)",
+             "  module_right_unit at (0,)", "  module_right_assoc at (0, 0, 0)"],
+        ),
+    ],
+    ids=["used-by-the-context", "used-by-no-context"],
+)
+def test_invalid_bimodule_is_named_by_its_own_path(capsys, tmp_path, mutate, lines):
+    # every bimodule is checked on its own, whether a context uses it or not
+    doc = build_document("tri2_GF5")
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"validation failure: {bad}.{lines[0]}", *lines[1:]]
 
 
 def test_large_modulus_exits_two(capsys, tmp_path, monkeypatch):

@@ -6,8 +6,9 @@ the central-map space is built in closed form from the center, which is
 the centralizer of the Lie generators; ``helpers.reference_solutions``
 solves all rows of each rule at once.  Both must give the same canonical
 basis.  The generating sets themselves are checked by an independent
-closure, the center against the kernel of every bracket row, and the full
-rows against the earlier builders that scan the whole tensor.
+closure, the center and the central ideals against kernels of every
+bracket row, and the full rows against the earlier builders that scan the
+whole tensor.
 """
 
 import random
@@ -22,16 +23,20 @@ from gmalie.algebra import (
     _generators,
     _lie_generators,
     center,
+    central_ideal_subspace,
     commutation_operator,
     commutator_span,
 )
 from gmalie.catalog import EXAMPLE_NAMES, load_example
 from gmalie.constructions import (
+    field_algebra,
     matrix_algebra,
     split_pair_algebra,
+    trivial_context,
     truncated_polynomial_algebra,
     two_nilpotents_algebra,
     upper_triangular_algebra,
+    zero_bimodule,
 )
 from gmalie.fields import GF, QQ
 from gmalie.fuzzing import FuzzConfig, generate_contexts
@@ -41,7 +46,6 @@ from gmalie.rows import (
     bracket_rows,
     bracket_system,
     central_rows,
-    central_system,
     product_rows,
     product_system,
     solutions,
@@ -55,12 +59,21 @@ from gmalie.spaces import (
     is_central_commutator_free,
 )
 
-from helpers import closure, random_basis_tensor, reference_rule_rows, reference_solutions
+from helpers import (
+    closure,
+    random_basis_tensor,
+    reference_central_ideal_subspace,
+    reference_rule_rows,
+    reference_solutions,
+)
 
+# (space, full rows, rows it is solved from); the central-map space is
+# built in closed form, so no reduced central system exists and its full
+# rows stand in for both
 SYSTEMS = (
     (_derivation_space, product_rows, lambda a: product_system(a, _generators(a))),
     (_lie_derivation_space, bracket_rows, lambda a: bracket_system(a, _lie_generators(a))),
-    (_central_map_space, central_rows, lambda a: central_system(a, _lie_generators(a))),
+    (_central_map_space, central_rows, central_rows),
 )
 
 
@@ -72,8 +85,11 @@ def _assert_reduced_solves_match(a):
 
 def _assert_center_and_commutators(a):
     """The center from the Lie generators' bracket rows is the kernel of
-    all d^2 of them, and the commutator span is spanned by every bracket."""
+    all d^2 of them, the central ideals read off the center are those of
+    every bracket row, and the commutator span is spanned by every
+    bracket."""
     assert center(a) == kernel(commutation_operator(a))
+    assert central_ideal_subspace(a) == reference_central_ideal_subspace(a)
     basis = [a.basis_vector(i) for i in range(a.dim)]
     brackets = [a.bracket(x, y) for x in basis for y in basis]
     assert commutator_span(a) == Subspace(a.field, a.dim, brackets)
@@ -207,6 +223,19 @@ def test_central_maps_are_center_valued_maps_of_the_abelianization(small, p, see
 )
 def test_full_rows_match_the_scanning_builders(a):
     assert (product_rows(a), bracket_rows(a), central_rows(a)) == reference_rule_rows(a)
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
+def test_central_ideal_of_a_noncommutative_product(field):
+    # T_2(F) x F: the center is F*1 x F, and A*c stays central only for
+    # c in 0 x F, so the central ideal space is neither 0 nor everything
+    one = field_algebra(field)
+    t2 = upper_triangular_algebra(field, 2)
+    ctx = trivial_context(t2, one, zero_bimodule(t2, one), zero_bimodule(one, t2))
+    a = assemble(ctx).algebra
+    assert not a.is_commutative()
+    assert central_ideal_subspace(a) == Subspace(field, 4, [(0, 0, 0, 1)])
+    _assert_center_and_commutators(a)
 
 
 def test_no_unit_is_adjoined():

@@ -60,6 +60,7 @@ from helpers import (
     record_calls,
     reference_center_iso,
     reference_central_matrix,
+    reference_central_pair_space,
     reference_central_parts_report,
     reference_criteria_witnesses,
     reference_derivation_parts_report,
@@ -330,6 +331,7 @@ def test_central_pair_subalgebra_everything_when_maps_vanish():
     g = _mat2_peirce()
     parts = extract_lie(g, EndoMap(Matrix.zeros(GF(3), 4, 4)))
     rep = central_pair_subalgebra(g, Matrix.zeros(GF(3), 1, 1), parts)
+    assert rep.space == reference_central_pair_space(g, Matrix.zeros(GF(3), 1, 1), parts)
     assert rep.space.dim == g.context.a.dim
     assert rep.contains_commutators and rep.contains_idempotents
     assert rep.equals_cross_preimage
@@ -339,6 +341,7 @@ def test_central_pair_subalgebra_on_counterexample():
     g, endo = _sec4()
     parts = extract_lie(g, endo)
     rep = central_pair_subalgebra(g, Matrix.zeros(QQ, 2, 2), parts)
+    assert rep.space == reference_central_pair_space(g, Matrix.zeros(QQ, 2, 2), parts)
     assert rep.space.basis.to_lists() == [[1, 0]]
     assert rep.cross_preimage == rep.space
     assert rep.equals_cross_preimage

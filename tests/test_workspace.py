@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from fractions import Fraction
 
@@ -33,6 +34,24 @@ def test_loading_checks_the_context_once(monkeypatch, name):
     assert ws.assembled("G") is g
     assert ws.context("G") is g.context
     assert calls.count(gma_structure_tensor(g.context)) == 1
+
+
+# sha256 of each bundled document's rendering: the documents are data, so a
+# change to the builders behind them must leave them byte-identical
+_DOCUMENT_SHA256 = {
+    "example_sec4": "e15b7a8ea8120b70f652dc190cd5f9f77af6d1d07256f6026112357f90daedfc",
+    "tri2_Q": "da53d81b2df96fdf9cc3154612e6fb80bd6a6194b445b4f38daa74043ee386cb",
+    "tri2_GF5": "edd08547fe45db5cbda0e1536800b7b54050738dd22e26985b199ebea6aaf761",
+    "mat2_GF3_peirce": "aab92b79d5833df820cdbc1e2e882325fb642db4226c636da41ed8d25a946b66",
+    "mat3_GF3_peirce": "9ed14e82a51847f4e3a516fe303eb2b51cb77f4cd62cbcd36f78cca6c1571489",
+    "trivial_QQQ": "3d7865cd5576ae75174978e8a0ea487fdf145edaa5ba04de368f1a04ba952e1a",
+}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_bundled_documents_are_unchanged(name):
+    text = render_json(build_document(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DOCUMENT_SHA256[name]
 
 
 def test_bundled_counterexample_shape():
