@@ -312,24 +312,31 @@ def _bracket_terms(a: FDAlgebra) -> TensorTerms:
     return _tensor_terms(a.field, a.dim, _bracket_tensor(a))
 
 
-def _greedy_generators(f: Field, d: int, out) -> tuple:
+def _greedy_generators(f: Field, d: int, out, steps=None) -> tuple:
     """Basis indices, in increasing order, whose basis vectors generate F^d
     under the products ``out`` (a ``TensorTerms.out``).
 
     Index i joins when e_i is outside the span W of what the earlier
     members generate; W is kept closed under x -> e_s x for every member s
-    by a worklist of (member, vector) pairs, so W is spanned by the words
-    of length >= 1 in the members.  No unit is adjoined.
+    by a worklist of (member, stored vector) pairs, so W is spanned by the
+    words of length >= 1 in the members.  No unit is adjoined.
+
+    When ``steps`` is a list, the walk appends one ``Step`` per stored
+    vector, in the order they are stored: each is a word in the members
+    and the earlier stored vectors, which is how a map fixed by its values
+    on the members is carried onto the whole basis.
     """
     z, one = f.zero, f.one
     add, sub, mul = f.add, f.sub, f.mul
     echelon = {}  # pivot -> sparse vector (dict) with a 1 at the pivot
     members, work = [], []
 
-    def reduce(v: dict) -> dict:
+    def reduce(v: dict, trail) -> dict:
         for c in sorted(echelon):
             x = v.get(c)
             if x is not None:
+                if trail is not None:
+                    trail.append((c, x))
                 for t, b in echelon[c].items():
                     y = sub(v.get(t, z), mul(x, b))
                     if y != z:
@@ -338,13 +345,16 @@ def _greedy_generators(f: Field, d: int, out) -> tuple:
                         del v[t]
         return v
 
-    def store(v: dict):
+    def store(v: dict, s, w, trail):
         c = min(v)
+        scale = one
         if v[c] != one:
-            inv = f.inv(v[c])
-            v = {t: mul(inv, x) for t, x in v.items()}
+            scale = f.inv(v[c])
+            v = {t: mul(scale, x) for t, x in v.items()}
         echelon[c] = v
-        work.extend((s, v) for s in members)
+        if steps is not None:
+            steps.append(Step(c, tuple(v.items()), s, w, tuple(trail), scale))
+        work.extend((m, c) for m in members)
 
     def times(s, v: dict) -> dict:
         acc = {}
@@ -356,32 +366,71 @@ def _greedy_generators(f: Field, d: int, out) -> tuple:
     for i in range(d):
         if len(echelon) == d:
             break
-        v = reduce({i: one})
+        trail = None if steps is None else []
+        v = reduce({i: one}, trail)
         if not v:
             continue
         members.append(i)
-        work.extend((i, w) for w in echelon.values())
-        store(v)
+        work.extend((i, c) for c in echelon)
+        store(v, i, None, trail)
         while work and len(echelon) < d:
-            s, w = work.pop()
-            v = reduce(times(s, w))
+            s, c = work.pop()
+            trail = None if steps is None else []
+            v = reduce(times(s, echelon[c]), trail)
             if v:
-                store(v)
+                store(v, s, c, trail)
     return tuple(members)
 
 
+class Step(NamedTuple):
+    """One stored vector of the greedy walk, with its (index, coordinate)
+    pairs in ``vector``: a 1 at ``pivot`` and nothing before it.  It is
+    ``scale`` * (u - sum of x * stored[c] over the (c, x) in
+    ``reductions``), with u = e_s when ``word`` is None and u = e_s times
+    stored[word] otherwise; stored[c] is the vector stored earlier with
+    pivot c."""
+
+    pivot: int
+    vector: tuple
+    s: int
+    word: int | None
+    reductions: tuple
+    scale: object
+
+
+class Walk(NamedTuple):
+    """A generating set and the steps of the greedy walk that found it."""
+
+    members: tuple
+    steps: tuple
+
+
+def _walk(a: FDAlgebra, terms) -> Walk:
+    steps = []
+    members = _greedy_generators(a.field, a.dim, terms.out, steps)
+    return Walk(members, tuple(steps))
+
+
 @_memo
+def _product_walk(a: FDAlgebra) -> Walk:
+    return _walk(a, _product_terms(a))
+
+
+@_memo
+def _bracket_walk(a: FDAlgebra) -> Walk:
+    return _walk(a, _bracket_terms(a))
+
+
 def _generators(a: FDAlgebra) -> tuple:
     """A generating set S of the algebra, without its unit: the derivations
     are fixed by the product rule on the pairs (s, j), s in S."""
-    return _greedy_generators(a.field, a.dim, _product_terms(a).out)
+    return _product_walk(a).members
 
 
-@_memo
 def _lie_generators(a: FDAlgebra) -> tuple:
     """A generating set of the algebra's Lie algebra: iterated brackets of
     its members span the algebra, and its centralizer is the center."""
-    return _greedy_generators(a.field, a.dim, _bracket_terms(a).out)
+    return _bracket_walk(a).members
 
 
 def _commutation_rows(a: FDAlgebra, members) -> Matrix:

@@ -5,14 +5,13 @@ the bundled example library and the fuzzer."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import product
 from operator import attrgetter
 
 from .algebra import FDAlgebra
 from .errors import DimensionMismatch
 from .fields import Field
-from .gma import induced_algebra, induced_bimodule
+from .gma import _induced_structure, induced_bimodule
 from .linalg import Subspace
 from .morita import Bimodule, MoritaContext
 
@@ -189,8 +188,10 @@ def ambient_commutative_context(f: Field) -> MoritaContext:
     # (r + s*nil)^2 = r^2 + 2rs*nil forces r in {0,1} and s = 0, so the
     # idempotents are exactly 0 and 1 over any two-torsion free field
     complete = f.characteristic != 2
-    alg_a = replace(induced_algebra(amb, s_a, amb.unit, "corner A"), idempotents_complete=complete)
-    alg_b = replace(induced_algebra(amb, s_b, amb.unit, "corner B"), idempotents_complete=complete)
+    alg_a, alg_b = (
+        FDAlgebra(f, 2, *_induced_structure(amb, s, amb.unit, what), idempotents_complete=complete)
+        for s, what in ((s_a, "corner A"), (s_b, "corner B"))
+    )
     full = Subspace.full(f, 3)
     mod_m = induced_bimodule(amb, full, alg_a, s_a, alg_b, s_b, "module M")
     mod_n = induced_bimodule(amb, full, alg_b, s_b, alg_a, s_a, "module N")

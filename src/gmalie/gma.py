@@ -243,9 +243,15 @@ def induced_algebra(a: FDAlgebra, space: Subspace, unit, what) -> FDAlgebra:
     its canonical RREF basis, with unit ``unit`` (a vector of A in
     ``space``).  A product outside ``space`` raises ConsistencyError naming
     ``what``."""
+    return FDAlgebra(a.field, space.dim, *_induced_structure(a, space, unit, what))
+
+
+def _induced_structure(a: FDAlgebra, space: Subspace, unit, what) -> tuple:
+    """The structure tensor and unit of ``induced_algebra``, unvalidated,
+    for a caller that builds the algebra with further fields set."""
     basis = space.basis.entries
     tensor = [[_block_coords(space, a.multiply(x, y), what) for y in basis] for x in basis]
-    return FDAlgebra(a.field, space.dim, tensor, _block_coords(space, unit, what))
+    return tensor, _block_coords(space, unit, what)
 
 
 def induced_bimodule(

@@ -9,10 +9,15 @@ builds such rows -- the rules of an algebra, whose tag is a basis pair
 of a map -- lifts a block algebra's rows onto the assembled map, solves
 them and reads the failing tags of one vector.  A block's place in vec(L)
 is (start, stride, rows, cols): its entry (s, t) sits at start + s*stride + t.
+Over GF(p) it also solves a rule for the values of L on a generating set,
+composing the rule's rows with the map from those values to vec(L).
 """
 
 from __future__ import annotations
 
+import struct
+
+from ._kernel import _slot_width
 from .algebra import (
     FDAlgebra,
     TensorTerms,
@@ -21,7 +26,8 @@ from .algebra import (
     _product_terms,
     commutator_span,
 )
-from .linalg import Subspace, sparse_kernel
+from .errors import ConsistencyError
+from .linalg import Subspace, _echelon, sparse_kernel
 
 
 def add_row(rows: list, f, tag, terms):
@@ -168,3 +174,162 @@ def failing_tags(f, rows, flat):
         if acc:
             failed = tag
             yield tag
+
+
+# -- solving over the values on a generating set -------------------------------
+#
+# A map L that obeys the rule on the pairs (s, j), s in a generating set S,
+# obeys it everywhere, and it is fixed by its values X on S: the greedy walk
+# (``algebra.Walk``) writes every basis vector as a word in S, and
+# L(e_s w) = L(e_s) w + e_s L(w) carries X along each word.  So the
+# solutions are Phi X for the X in the kernel of the rows composed with Phi,
+# a kernel |S| d wide instead of d^2.  A linear form in the n = |S| d
+# unknowns is one int with b-bit slots, unknown u in bits [b*u, b*(u+1)), as
+# in ``_kernel._rref_packed``; unknown t*d + m is coordinate m of L(e_s) for
+# the t-th member s.  Every coefficient added is in [0, p), a difference is
+# added as (p - x) times a form, and a form is reduced mod p only when it is
+# stored, so a slot never exceeds (p - 1) + max(3d, n) (p - 1)^2: a form
+# sums at most d products for each of three terms, and a vector mapped back
+# at most n.  When no 64-bit slot holds that, the caller solves the rows.
+
+
+def _left_forms(terms: TensorTerms, bits) -> list:
+    """left[l][k]: coordinate k of X e_l, packed, for the map X with X(e_m)
+    in slot m."""
+    return [[sum(x << bits * m for m, x in by_left) for by_left in plane] for plane in terms.left]
+
+
+def _value_forms(p, d, terms: TensorTerms, walk, bits, code) -> list:
+    """values[l][k]: coordinate k of L(e_l), a packed form in the values of
+    L on ``walk.members``, carried along the walk by the product whose
+    nonzero terms are ``terms``; every slot reduced mod p."""
+    members, steps = walk
+    layout = struct.Struct(f"<{len(members) * d}{code}")
+    size, pack, unpack = layout.size, layout.pack, layout.unpack
+
+    def canonical(x, scale=1):
+        vals = unpack(x.to_bytes(size, "little"))
+        return int.from_bytes(pack(*[v * scale % p for v in vals]), "little")
+
+    left = _left_forms(terms, bits)
+    shift = {s: bits * t * d for t, s in enumerate(members)}
+    stored, forms = {}, {}
+    for pivot, vector, s, word, reductions, scale in steps:
+        at = shift[s]
+        if word is None:
+            raw = [1 << at + bits * k for k in range(d)]
+        else:
+            # L(e_s w) = L(e_s) w + e_s L(w)
+            raw = [0] * d
+            for l, x in stored[word]:
+                raw = [r + x * y for r, y in zip(raw, left[l])]
+            lw = forms[word]
+            raw = [
+                (r << at) + sum(x * lw[q] for q, x in by_right)
+                for r, by_right in zip(raw, terms.right[s])
+            ]
+        for c, x in reductions:
+            m = p - x
+            raw = [r + m * y for r, y in zip(raw, forms[c])]
+        stored[pivot] = vector
+        forms[pivot] = [canonical(r, scale) for r in raw]
+    # the stored vectors are unitriangular: e_k is stored[k] minus x e_c for
+    # its entries x at c > k, whose values are already known
+    values = [None] * d
+    for k in range(d - 1, -1, -1):
+        raw = forms[k]
+        for c, x in stored[k]:
+            if c != k:
+                m = p - x
+                raw = [r + m * y for r, y in zip(raw, values[c])]
+        values[k] = [canonical(r) for r in raw]
+    return values
+
+
+def _unpacked(values, d, n, code) -> list:
+    """Phi's rows: row r*d + c lists the coefficients of vec(L)[r*d + c],
+    coordinate r of L(e_c), over the n unknowns."""
+    layout = struct.Struct(f"<{n}{code}")
+    size, unpack = layout.size, layout.unpack
+    return [unpack(values[c][r].to_bytes(size, "little")) for r in range(d) for c in range(d)]
+
+
+def value_extension(a: FDAlgebra, terms: TensorTerms, walk) -> tuple | None:
+    """Phi as d^2 rows over the |S| d unknowns: vec(L) = Phi X for the map L
+    with values X on the members of ``walk``, carried along the walk by the
+    product whose nonzero terms are ``terms``.  GF(p) only; None when no
+    slot width holds the packing bound."""
+    p, d, n = a.field.p, a.dim, len(walk.members) * a.dim
+    width = _slot_width(p, max(3 * d, n))
+    if width is None:
+        return None
+    values = _value_forms(p, d, terms, walk, *width)
+    return tuple(_unpacked(values, d, n, width[1]))
+
+
+def value_solutions(a: FDAlgebra, terms: TensorTerms, walk, pairs, floor) -> Subspace | None:
+    """vec(L) of the maps L with L(e_s e_j) = L(e_s) e_j + e_s L(e_j) for the
+    (s, j) in ``pairs``, s a member of ``walk``, over the product whose
+    nonzero terms are ``terms``: the kernel of those rows composed with Phi,
+    mapped back by Phi, in one canonical RREF basis.  GF(p) only; None when
+    no slot width holds the packing bound.
+
+    ``floor`` is a subspace of the solutions known beforehand.  Phi is one
+    to one on the solutions, so the rows have rank at most n - dim floor,
+    and once the rows taken so far reach it the solutions are ``floor``:
+    the rows are composed and eliminated a batch of pairs at a time, and
+    the rest go unbuilt."""
+    f, d = a.field, a.dim
+    p, n = f.p, len(walk.members) * d
+    width = _slot_width(p, max(3 * d, n))
+    if width is None:
+        return None
+    bits, code = width
+    values = _value_forms(p, d, terms, walk, bits, code)
+    layout = struct.Struct(f"<{n}{code}")
+    size, unpack = layout.size, layout.unpack
+    # the forms of -(L(e_s) e_j)_k, before the shift to the slots of s
+    minus = [[(p - 1) * x for x in plane] for plane in _left_forms(terms, bits)]
+    shift = {s: bits * t * d for t, s in enumerate(walk.members)}
+
+    def composed(s, j):
+        # L(e_s e_j) - L(e_s) e_j - e_s L(e_j), one row per coordinate k
+        at, lj = shift[s], values[j]
+        raw = [x << at for x in minus[j]]
+        for l, x in terms.out[s][j]:
+            raw = [r + x * y for r, y in zip(raw, values[l])]
+        for r, by_right in zip(raw, terms.right[s]):
+            r += sum((p - x) * lj[q] for q, x in by_right)
+            if r:
+                yield [v % p for v in unpack(r.to_bytes(size, "little"))]
+
+    rank = n - floor.dim
+    rows, pivots = [], []
+    # on the benchmark's twins a pair's d rows raised the rank by about d/2
+    done, batch = 0, 2 * rank // d + 1
+    while len(pivots) < rank and done < len(pairs):
+        data = rows + [row for pair in pairs[done : done + batch] for row in composed(*pair)]
+        rows, pivots = _echelon(f, data)
+        done, batch = done + batch, 2 * batch
+    if len(pivots) > rank:
+        raise ConsistencyError("a map of the known solutions fails the rule")
+    if len(pivots) == rank:
+        return floor
+    # Phi's column u packed over the d^2 entries of vec(L); the kernel vector
+    # of free unknown u maps to column u minus the pivot columns it pays for
+    wide = struct.Struct(f"<{d * d}{code}")
+    columns = [
+        int.from_bytes(wide.pack(*column), "little")
+        for column in zip(*_unpacked(values, d, n, code))
+    ]
+    taken = set(pivots)
+    vectors = []
+    for u in range(n):
+        if u in taken:
+            continue
+        acc = columns[u]
+        for row, c in zip(rows, pivots):
+            if row[u]:
+                acc += (p - row[u]) * columns[c]
+        vectors.append([v % p for v in wide.unpack(acc.to_bytes(wide.size, "little"))])
+    return Subspace(f, d * d, vectors)

@@ -6,9 +6,10 @@ A linear self-map is a square matrix acting on coordinate columns; a space
 of maps is a subspace of F^(d*d) under row-major flattening (the matrix
 entry (r, c) lands at flat index r*d + c).  The rules are tagged rows over
 that flattening, built, solved and read by ``rows``: the derivation and
-Lie-derivation spaces solve the rows of a generating set, the central maps
-are built in closed form from the center and the commutator span, and the
-pointwise checks read every row.  All operations here refuse to run over
+Lie-derivation spaces solve the rows of a generating set (over GF(p) on a
+dense basis, for the values on that set), the central maps are built in
+closed form from the center and the commutator span, and the pointwise
+checks read every row.  All operations here refuse to run over
 fields of characteristic two: the decomposition theory needs two-torsion
 free modules, and over GF(2) nothing nonzero is.
 """
@@ -17,7 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FDAlgebra, _generators, _lie_generators, _memo, center, commutator_span
+from .algebra import (
+    FDAlgebra,
+    _bracket_tensor,
+    _bracket_terms,
+    _bracket_walk,
+    _memo,
+    _product_terms,
+    _product_walk,
+    center,
+    commutator_span,
+)
 from .errors import CharacteristicTwoError, ConsistencyError, DimensionMismatch, PreconditionError
 from .gma import GMAlgebra
 from .linalg import Matrix, Subspace, kernel, solve, subspace_sum
@@ -29,6 +40,7 @@ from .rows import (
     product_rows,
     product_system,
     solutions,
+    value_solutions,
 )
 
 __all__ = [
@@ -128,16 +140,94 @@ def _require_odd(a: FDAlgebra):
 # (s, j) with s in S and pairs i < j meeting S_Lie cut out the same spaces
 # as every row of the rule.  The central maps need no rows: they are the
 # maps from A/[A, A] to the center, which is the centralizer of S_Lie.
+#
+# Such a map is also fixed by its values on S, so over GF(p) a dense
+# algebra solves for those |S| d values instead of the d^2 entries
+# (``rows.value_solutions``).  A dense basis needs few generators, 2 to 5
+# on the benchmark's random-basis twins, and its rows fill in when
+# eliminated, so the narrow system wins.  A sparse basis needs many, up to
+# all d on T_n in matrix units, and ``sparse_kernel`` splits its d^2-wide
+# rows into small independent blocks, which win there.  The share of
+# nonzero terms in the rule's tensor tells the two apart: at least 0.58 on
+# every random-basis twin the benchmark runs, at most 0.07 on its
+# matrix-unit and block bases.  Rationals, primes too large for a 64-bit
+# slot, and algebras of dimension 1 or 2 keep the row solve: on the 1- and
+# 2-dimensional algebras that the fuzz and cli workloads build, the values
+# solve's fixed costs made it no faster (d = 2) or slower (d = 1).
+#
+# The values solve starts from a floor of solutions known in advance: the
+# inner derivations for the product rule, the derivations plus the central
+# maps for the bracket rule.  When the floor is all of the solutions (every
+# derivation inner, every Lie derivation proper), a few batches of rows
+# prove it and the rest are never built.
+
+_DENSE_SHARE = 4  # solve over the values when nonzeros * 4 >= d^3
+_DENSE_MIN_DIM = 3
+
+
+def _dense(a: FDAlgebra, terms) -> bool:
+    if not a.field.is_prime_field or a.dim < _DENSE_MIN_DIM:
+        return False
+    nonzero = sum(len(products) for plane in terms.out for products in plane)
+    return nonzero * _DENSE_SHARE >= a.dim**3
+
+
+def _rule(a: FDAlgebra, lie: bool) -> tuple:
+    """(terms, walk, pairs, system) of the product rule, or of the bracket
+    rule when ``lie``: the rule's tensor terms, the greedy walk over them,
+    the pairs (s, j) with s in its generating set that cut the rule out,
+    and the builder of its rows on a generating set."""
+    walk = _bracket_walk(a) if lie else _product_walk(a)
+    # for each (s, j) here the walk stored a vector made from e_s w, w the
+    # stored vector with pivot j, and Phi builds L(e_s w) as L(e_s) w +
+    # e_s L(w): the rule holds on (s, w) whatever the values on S.  As w is
+    # e_j plus terms past j, the rule on (s, e_j) follows, from j = d - 1
+    # down, so these pairs are left out
+    carried = {(step.s, step.word) for step in walk.steps}
+    pairs = [(s, j) for j in range(a.dim) for s in walk.members if (s, j) not in carried]
+    if not lie:
+        return _product_terms(a), walk, pairs, product_system
+    members = set(walk.members)
+    # each pair meeting S_Lie once, its member first: (j, s) gives the
+    # negated rows of (s, j), and (s, s) none
+    pairs = [(s, j) for s, j in pairs if j > s or j not in members]
+    return _bracket_terms(a), walk, pairs, bracket_system
+
+
+def _floor(a: FDAlgebra, lie: bool) -> Subspace:
+    """Solutions of the rule known before it is solved: the inner
+    derivations ad(x), x in A, for the product rule, and the derivations
+    plus the central maps for the bracket rule."""
+    if lie:
+        return _proper_space(a).space
+    return _inner_derivations(a)
+
+
+@_memo
+def _inner_derivations(a: FDAlgebra) -> Subspace:
+    # ad(e_i) has column c = [e_i, e_c], so vec(ad(e_i))[r*d + c] = [e_i, e_c]_r
+    bracket, d = _bracket_tensor(a), a.dim
+    vectors = [[plane[c][r] for r in range(d) for c in range(d)] for plane in bracket]
+    return Subspace(a.field, d * d, vectors)
+
+
+def _rule_space(a: FDAlgebra, lie: bool) -> MapSpace:
+    terms, walk, pairs, system = _rule(a, lie)
+    if _dense(a, terms):
+        space = value_solutions(a, terms, walk, pairs, _floor(a, lie))
+        if space is not None:
+            return MapSpace(a.dim, space)
+    return MapSpace(a.dim, solutions(a, system(a, walk.members)))
 
 
 @_memo
 def _derivation_space(a: FDAlgebra) -> MapSpace:
-    return MapSpace(a.dim, solutions(a, product_system(a, _generators(a))))
+    return _rule_space(a, lie=False)
 
 
 @_memo
 def _lie_derivation_space(a: FDAlgebra) -> MapSpace:
-    return MapSpace(a.dim, solutions(a, bracket_system(a, _lie_generators(a))))
+    return _rule_space(a, lie=True)
 
 
 @_memo

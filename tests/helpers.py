@@ -6,8 +6,10 @@ rebuilt from numpy matrix products rather than the library's constructors.
 The properness references decide one map at a time through the library's
 per-map entry points, independently of the subspace path they check.  The
 elimination references are the library's earlier single-pass forms: the
-Gauss-Jordan loop that scans the pivot row's whole tail, and the oracle's
-solve of every row at once as one dense matrix; the row references are its
+Gauss-Jordan loop that scans the pivot row's whole tail, the oracle's
+solve of every row at once as one dense matrix, and its solve of a
+generating set's rows by ``sparse_kernel``, which the solve for the values
+on that set must match; the row references are its
 earlier row builders, which scan every tensor entry; the presentation
 references are its earlier checkers, which evaluate every condition on basis
 vectors, and its earlier rebuilds, which assemble a map column by column
@@ -30,12 +32,20 @@ import numpy as np
 
 import gmalie.algebra
 import gmalie.morita
-from gmalie.algebra import _bilinear, center, commutation_operator, commutator_span
+from gmalie.algebra import (
+    _bilinear,
+    _generators,
+    _lie_generators,
+    center,
+    commutation_operator,
+    commutator_span,
+)
 from gmalie.errors import Violation
 from gmalie.gma import center_analysis
 from gmalie.linalg import Matrix, Subspace, kernel, solve
 from gmalie.morita import left_action_kernel, right_action_kernel
 from gmalie.presentation import LiePresentation, PresentationReport, extract_lie
+from gmalie.rows import bracket_system, product_system, solutions
 from gmalie.spaces import EndoMap, is_proper, lie_derivation_space
 
 
@@ -129,6 +139,16 @@ def reference_solutions(field, n, rows) -> Subspace:
     return kernel(Matrix(field, (dense(c, x) for c, x in rows), cols=n))
 
 
+def reference_generator_solve(a, lie=False) -> Subspace:
+    """The derivation space, or the Lie-derivation space when ``lie``, as
+    the rule's rows on the pairs meeting a generating set solved by
+    ``sparse_kernel``: the oracle's solve for every algebra it does not
+    solve over the values on that set."""
+    if lie:
+        return solutions(a, bracket_system(a, _lie_generators(a)))
+    return solutions(a, product_system(a, _generators(a)))
+
+
 def _inverse_mod(m, p):
     n = len(m)
     a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
@@ -158,12 +178,14 @@ def random_change_of_basis(d, p, rng: random.Random):
 
 def change_basis(tensor, unit, P, Q, p):
     """Structure tensor and unit in the basis of P's columns, by numpy
-    einsum; Q is the inverse of P."""
-    t = np.array(tensor, dtype=np.int64)
-    P, Q = np.array(P, dtype=np.int64), np.array(Q, dtype=np.int64)
+    einsum; Q is the inverse of P.  Past 16-bit primes the entries are
+    Python ints, whose products do not overflow."""
+    dtype = np.int64 if p < 2**16 else object
+    t = np.array(tensor, dtype=dtype)
+    P, Q = np.array(P, dtype=dtype), np.array(Q, dtype=dtype)
     products = np.einsum("ai,bj,abk->ijk", P, P, t) % p
     new = np.einsum("ck,ijk->ijc", Q, products) % p
-    return new.tolist(), (Q @ np.array(unit, dtype=np.int64) % p).tolist()
+    return new.tolist(), (Q.dot(np.array(unit, dtype=dtype)) % p).tolist()
 
 
 def random_basis_tensor(tensor, unit, p, rng: random.Random):

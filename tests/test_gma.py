@@ -27,6 +27,8 @@ from gmalie.gma import (
 from gmalie.linalg import rref
 from gmalie.morita import MoritaContext
 
+from helpers import record_structure_checks
+
 
 def _e11(f, n):
     vec = [f.zero] * (n * n)
@@ -218,3 +220,15 @@ def test_direct_sum_flag():
     g = assemble(ctx)
     assert g.is_direct_sum
     assert not assemble(_tri2_context(QQ)).is_direct_sum
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
+def test_ambient_context_checks_each_corner_algebra_once(monkeypatch, field):
+    # each corner is built with its idempotents marked complete, not built
+    # and then copied with the flag set, which would check its tensor again
+    calls = record_structure_checks(monkeypatch)
+    ctx = ambient_commutative_context(field)
+    assert ctx.a.idempotents_complete and ctx.b.idempotents_complete
+    # both corners are the dual numbers, in the same basis
+    assert ctx.a.structure == ctx.b.structure
+    assert calls.count(ctx.a.structure) == 2

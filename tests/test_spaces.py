@@ -16,7 +16,9 @@ from gmalie.constructions import (
 from gmalie.errors import CharacteristicTwoError, PreconditionError
 from gmalie.fields import GF, QQ, Field
 from gmalie.gma import assemble, peirce
+from gmalie import spaces
 from gmalie.linalg import Matrix, kernel, sparse_kernel
+from gmalie.rows import value_solutions
 from gmalie.spaces import (
     EndoMap,
     central_map_space,
@@ -229,7 +231,10 @@ def test_derived_facts_are_computed_once_per_algebra_value(monkeypatch):
 def test_oracle_canonicalizes_no_scalar_inside_sparse_kernel(monkeypatch, field):
     # structure constants that are canonical already (ints below p, or
     # Fractions): the oracle's block matrices go through the public
-    # Matrix(...) once per block, and not one entry through Field.of
+    # Matrix(...) once per block, and not one entry through Field.of.  A
+    # random basis over GF(p) is dense, so the oracle solves it over the
+    # values on a generating set: the row solve is forced first, and the
+    # values solve is held to the same rule after it
     t4 = upper_triangular_algebra(field, 4)
     tensor = [[list(row) for row in plane] for plane in t4.structure]
     unit = list(t4.unit)
@@ -237,12 +242,19 @@ def test_oracle_canonicalizes_no_scalar_inside_sparse_kernel(monkeypatch, field)
         tensor, unit = random_basis_tensor(tensor, unit, field.p, random.Random(7))
     a = FDAlgebra(field, t4.dim, tensor, unit)
     _facts.cache_clear()
+    dense = spaces._dense
+    monkeypatch.setattr(spaces, "_dense", lambda a, terms: False)
     calls = record_calls(
-        monkeypatch, (Field, Field.of), (Matrix, Matrix.__init__), kernel, sparse_kernel
+        monkeypatch,
+        (Field, Field.of),
+        (Matrix, Matrix.__init__),
+        kernel,
+        sparse_kernel,
+        value_solutions,
     )
 
-    def solves():
-        return sum(name == "sparse_kernel" for name, _, _ in calls)
+    def solves(name="sparse_kernel"):
+        return sum(c[0] == name for c in calls)
 
     # the central maps are built in closed form, with no row solve
     central_map_space(a)
@@ -252,11 +264,20 @@ def test_oracle_canonicalizes_no_scalar_inside_sparse_kernel(monkeypatch, field)
     proper_space(a)
     has_lie_derivation_property(a)
 
-    def inside(name):
-        return [c for c in calls if c[0] == name and c[2] and c[2][-1] == "sparse_kernel"]
+    def inside(name, solve="sparse_kernel"):
+        return [c for c in calls if c[0] == name and c[2] and c[2][-1] == solve]
 
     assert solves() == 2
     assert [c for c in calls if c[0] == "of" and "sparse_kernel" in c[2]] == []
     blocks = inside("kernel")
     assert len(blocks) >= 2
     assert len(inside("__init__")) == len(blocks)
+
+    if field.is_prime_field:
+        monkeypatch.setattr(spaces, "_dense", dense)
+        _facts.cache_clear()
+        calls.clear()
+        derivation_space(a)
+        lie_derivation_space(a)
+        assert (solves(), solves("value_solutions")) == (0, 2)
+        assert [c for c in calls if "value_solutions" in c[2]] == []
