@@ -189,6 +189,8 @@ def field_from_doc(doc) -> Field:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DimensionMismatch(f"field entry must be an object with 'kind', got {doc!r}")
     if doc["kind"] == "Q":
+        if doc.get("p") is not None:
+            raise ValueError("the rationals take no modulus")
         return QQ
     if doc["kind"] == "GF":
         p = doc.get("p")

@@ -3,7 +3,9 @@ and the subspace calculus (sum, Zassenhaus intersection, membership).
 
 Subspaces are always stored with a reduced-row-echelon basis, so two equal
 subspaces have identical basis matrices and equality is plain comparison.
-Pivoting is deterministic: leftmost pivot column, first nonzero row.
+Pivoting is deterministic: leftmost pivot column, first nonzero row.  A null
+space is read off one elimination of its rows with their columns reversed:
+the vectors of the free columns are then its RREF basis as they stand.
 """
 
 from __future__ import annotations
@@ -237,22 +239,33 @@ def rref(m: Matrix):
 
 def kernel(m: Matrix) -> "Subspace":
     """Canonical basis of the right null space {x : m.apply(x) = 0}."""
-    rows, pivots = _echelon(m.field, m.entries)
-    f = m.field
-    z, o = f.zero, f.one
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(m.cols):
-        if j in pivot_set:
+    vectors = _null_vectors(m.field, m.cols, [row[::-1] for row in m.entries])
+    return Subspace(m.field, m.cols, vectors, _reduced=True)
+
+
+def _null_vectors(field, n, flipped):
+    """The RREF basis of the null space of rows over F^n, each row given
+    with its columns reversed.  Their RREF has every pivot as far right as
+    it can be, so the vector of free column j, e_j minus the entries at
+    column j of the rows pivoting past j, leads with the 1 at j and is zero
+    at the other free columns: in order of j, the unique RREF basis."""
+    rows, pivots = _echelon(field, flipped)
+    z, o, neg = field.zero, field.one, field.neg
+    taken = set(pivots)
+    vectors = []
+    for j in range(n):
+        t = n - 1 - j  # column j among the flipped columns
+        if t in taken:
             continue
-        vec = [z] * m.cols
+        vec = [z] * n
         vec[j] = o
-        for r, c in enumerate(pivots):
-            coeff = rows[r][j]
-            if coeff != z:
-                vec[c] = f.neg(coeff)
-        basis.append(vec)
-    return Subspace(f, m.cols, basis)
+        for row, c in zip(rows, pivots):
+            if c > t:
+                break
+            if row[t] != z:
+                vec[n - 1 - c] = neg(row[t])
+        vectors.append(vec)
+    return vectors
 
 
 def sparse_kernel(field, n: int, rows) -> "Subspace":
@@ -260,10 +273,10 @@ def sparse_kernel(field, n: int, rows) -> "Subspace":
     given sparse as (columns, coefficients) pairs.
 
     Rows that share a column are joined into one block by a union-find over
-    the columns, and each block is solved by :func:`kernel` over its own
-    columns only.  The lifted block kernels have disjoint supports, and a
-    column that no row touches is free, so these vectors together with the
-    unit vectors of the free columns, sorted by pivot, are already the RREF
+    the columns, and each block is eliminated once, over its own columns
+    only.  The lifted block kernels have disjoint supports, and a column
+    that no row touches is free, so these vectors together with the unit
+    vectors of the free columns, sorted by pivot, are already the RREF
     basis that one dense elimination of all the rows would give.
     """
     parent = list(range(n))
@@ -289,9 +302,8 @@ def sparse_kernel(field, n: int, rows) -> "Subspace":
     for block in blocks.values():
         cols = sorted({c for row_cols, _ in block for c in row_cols})
         touched.update(cols)
-        local = {c: t for t, c in enumerate(cols)}
-        dense = Matrix(field, _dense_rows(block, local, len(cols), z), cols=len(cols))
-        for v in kernel(dense).basis.entries:
+        flipped = {c: t for t, c in enumerate(reversed(cols))}
+        for v in _null_vectors(field, len(cols), list(_dense_rows(block, flipped, z))):
             vec = [z] * n
             for c, x in zip(cols, v):
                 vec[c] = x
@@ -305,12 +317,12 @@ def sparse_kernel(field, n: int, rows) -> "Subspace":
     return Subspace(field, n, vectors, _reduced=True)
 
 
-def _dense_rows(block, local, width, z):
-    """A block's sparse rows as dense lists over its own columns, made one
-    at a time: the matrix built from them is the only copy held during the
-    elimination."""
+def _dense_rows(block, local, z):
+    """A block's sparse rows as dense lists over its own columns, column c
+    at ``local[c]``: made in the column order the elimination reads, so no
+    second copy is held."""
     for row_cols, coeffs in block:
-        row = [z] * width
+        row = [z] * len(local)
         for c, x in zip(row_cols, coeffs):
             row[local[c]] = x
         yield row
@@ -496,9 +508,6 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     stacked = [list(row) + list(row) for row in u.basis.entries]
     stacked += [list(row) + [z] * n for row in v.basis.entries]
     rows, pivots = _echelon(f, stacked)
-    vectors = []
-    for r in range(len(pivots)):
-        row = rows[r]
-        if all(x == z for x in row[:n]):
-            vectors.append(row[n:])
-    return Subspace(f, n, vectors)
+    # their right halves are reduced against each other: already the RREF
+    vectors = [row[n:] for row, c in zip(rows, pivots) if c >= n]
+    return Subspace(f, n, vectors, _reduced=True)

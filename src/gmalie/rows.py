@@ -254,19 +254,6 @@ def _unpacked(values, d, n, code) -> list:
     return [unpack(values[c][r].to_bytes(size, "little")) for r in range(d) for c in range(d)]
 
 
-def value_extension(a: FDAlgebra, terms: TensorTerms, walk) -> tuple | None:
-    """Phi as d^2 rows over the |S| d unknowns: vec(L) = Phi X for the map L
-    with values X on the members of ``walk``, carried along the walk by the
-    product whose nonzero terms are ``terms``.  GF(p) only; None when no
-    slot width holds the packing bound."""
-    p, d, n = a.field.p, a.dim, len(walk.members) * a.dim
-    width = _slot_width(p, max(3 * d, n))
-    if width is None:
-        return None
-    values = _value_forms(p, d, terms, walk, *width)
-    return tuple(_unpacked(values, d, n, width[1]))
-
-
 def value_solutions(a: FDAlgebra, terms: TensorTerms, walk, pairs, floor) -> Subspace | None:
     """vec(L) of the maps L with L(e_s e_j) = L(e_s) e_j + e_s L(e_j) for the
     (s, j) in ``pairs``, s a member of ``walk``, over the product whose

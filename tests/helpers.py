@@ -6,7 +6,8 @@ rebuilt from numpy matrix products rather than the library's constructors.
 The properness references decide one map at a time through the library's
 per-map entry points, independently of the subspace path they check.  The
 elimination references are the library's earlier single-pass forms: the
-Gauss-Jordan loop that scans the pivot row's whole tail, the oracle's
+Gauss-Jordan loop that scans the pivot row's whole tail, the null space
+read off leftmost pivots and reduced a second time, the oracle's
 solve of every row at once as one dense matrix, and its solve of a
 generating set's rows by ``sparse_kernel``, which the solve for the values
 on that set must match; the row references are its
@@ -42,7 +43,7 @@ from gmalie.algebra import (
 )
 from gmalie.errors import Violation
 from gmalie.gma import center_analysis
-from gmalie.linalg import Matrix, Subspace, kernel, solve
+from gmalie.linalg import Matrix, Subspace, _echelon, solve
 from gmalie.morita import left_action_kernel, right_action_kernel
 from gmalie.presentation import LiePresentation, PresentationReport, extract_lie
 from gmalie.rows import bracket_system, product_system, solutions
@@ -124,9 +125,28 @@ def reference_rref_mod_p(data, p):
     return rows, pivots
 
 
+def reference_kernel(m: Matrix) -> Subspace:
+    """Canonical basis of the right null space of ``m`` in two passes: the
+    vectors of the free columns read off the RREF with leftmost pivots,
+    then reduced again by ``Subspace``."""
+    f = m.field
+    rows, pivots = _echelon(f, m.entries)
+    basis = []
+    for j in range(m.cols):
+        if j in pivots:
+            continue
+        vec = [f.zero] * m.cols
+        vec[j] = f.one
+        for row, c in zip(rows, pivots):
+            if row[j] != f.zero:
+                vec[c] = f.neg(row[j])
+        basis.append(vec)
+    return Subspace(f, m.cols, basis)
+
+
 def reference_solutions(field, n, rows) -> Subspace:
     """Kernel of sparse (columns, coefficients) rows over F^n, solved as one
-    dense len(rows) x n matrix."""
+    dense len(rows) x n matrix by ``reference_kernel``."""
     if not rows:
         return Subspace.full(field, n)
 
@@ -136,7 +156,7 @@ def reference_solutions(field, n, rows) -> Subspace:
             row[c] = x
         return row
 
-    return kernel(Matrix(field, (dense(c, x) for c, x in rows), cols=n))
+    return reference_kernel(Matrix(field, (dense(c, x) for c, x in rows), cols=n))
 
 
 def reference_generator_solve(a, lie=False) -> Subspace:
@@ -409,7 +429,7 @@ def reference_central_ideal_subspace(a) -> Subspace:
     multiplication: (d^3 + d^2) rows."""
     comm = commutation_operator(a)
     blocks = [comm] + [comm @ a.left_mult(a.basis_vector(j)) for j in range(a.dim)]
-    return kernel(Matrix.vstack(a.field, blocks, cols=a.dim))
+    return reference_kernel(Matrix.vstack(a.field, blocks, cols=a.dim))
 
 
 def reference_central_pair_space(g, center_map_a, parts) -> Subspace:
@@ -423,7 +443,7 @@ def reference_central_pair_space(g, center_map_a, parts) -> Subspace:
         for i in range(center_map_a.cols)
     ]
     pair_map = Matrix.from_columns(f, cols, rows=g.algebra.dim)
-    return kernel(commutation_operator(g.algebra) @ pair_map)
+    return reference_kernel(commutation_operator(g.algebra) @ pair_map)
 
 
 def closure(a, members, op) -> Subspace:

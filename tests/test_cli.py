@@ -284,6 +284,7 @@ _MALFORMED = {
     "context-entry-not-object": (_set("contexts", "G", 7), "contexts.G: expected dict"),
     "map-algebra-list": (_map_on_algebra, "maps.L.algebra: expected str"),
     "dim-bool": (_set("algebras", "A", "dim", True), "algebras.A.dim: expected int"),
+    "rationals-with-modulus": (_set("field", "p", 3), "field: the rationals take no modulus"),
     "idempotents-complete-str": (
         _set("algebras", "A", "idempotents_complete", "yes"),
         "algebras.A.idempotents_complete: expected bool",

@@ -76,6 +76,8 @@ def test_identity_and_docs():
     for bad in ([3], {"p": 3}, "3", 3.0, None):
         with pytest.raises(DimensionMismatch):
             field_from_doc({"kind": "GF", "p": bad})
+    with pytest.raises(ValueError, match="no modulus"):
+        field_from_doc({"kind": "Q", "p": 3})
     assert QQ.to_doc() == {"kind": "Q"}
     assert GF(11).to_doc() == {"kind": "GF", "p": 11}
 

@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmalie import spaces
+from gmalie import rows, spaces
+from gmalie._kernel import _slot_width
 from gmalie.algebra import (
     FDAlgebra,
     _facts,
@@ -56,7 +57,6 @@ from gmalie.rows import (
     product_rows,
     product_system,
     solutions,
-    value_extension,
     value_solutions,
 )
 from gmalie.spaces import (
@@ -319,8 +319,9 @@ def test_phi_gives_back_the_values_on_the_generating_set(small, p, seed, lie, rn
     make, n = small
     a = _twin(make, n, p, seed)
     terms, walk, _, _ = spaces._rule(a, lie)
-    phi = value_extension(a, terms, walk)
     d, width = a.dim, len(walk.members) * a.dim
+    bits, code = _slot_width(p, max(3 * d, width))
+    phi = rows._unpacked(rows._value_forms(p, d, terms, walk, bits, code), d, width, code)
     assert len(phi) == d * d and all(len(row) == width for row in phi)
     x = [rng.randrange(p) for _ in range(width)]
     mapped = Matrix(a.field, phi, cols=width).apply(x)
@@ -355,7 +356,6 @@ def test_values_solve_falls_back_when_no_slot_fits(monkeypatch):
     for lie in (False, True):
         terms, walk, _, _ = spaces._rule(a, lie)
         assert spaces._dense(a, terms)
-        assert value_extension(a, terms, walk) is None
         assert _values_solve(a, lie) is None
     expected = [reference_generator_solve(a, lie) for lie in (False, True)]
     _facts.cache_clear()

@@ -8,7 +8,10 @@ zero columns come up often:
 - the kernel is annihilated, and its dimension is cols - rank;
 - ``solve`` and ``inverse`` results check out by multiplication;
 - dim(U + V) + dim(U ∩ V) = dim U + dim V;
-- over QQ, ``rref`` agrees with sympy's (skipped where sympy is missing).
+- over QQ, ``rref`` agrees with sympy's (skipped where sympy is missing);
+- ``kernel`` equals the two-pass reference entry for entry, the bases of
+  ``kernel`` and ``subspace_intersect`` are unchanged by a second
+  reduction, and over QQ ``kernel`` agrees with sympy's null space.
 """
 
 from fractions import Fraction
@@ -28,7 +31,10 @@ from gmalie.linalg import (
     subspace_sum,
 )
 
+from helpers import reference_kernel
+
 FIELDS = [QQ, GF(3), GF(5), GF(2**31 - 1)]
+SMALL_FIELDS = [QQ, GF(3), GF(5)]
 
 LAWS = settings(max_examples=40, deadline=None)
 
@@ -151,3 +157,45 @@ def test_rref_agrees_with_sympy_over_the_rationals(m):
     assert reduced.to_lists() == [
         [Fraction(int(x.p), int(x.q)) for x in theirs.row(i)] for i in range(m.rows)
     ]
+
+
+def _entries(space):
+    """Basis entries with their scalar types, for comparison bit for bit."""
+    return [[(type(x), x) for x in row] for row in space.basis.entries]
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=repr)
+@LAWS
+@given(data=st.data())
+def test_the_kernel_equals_the_two_pass_reference(field, data):
+    m = data.draw(_matrices(field, cols=data.draw(st.integers(0, 7))))
+    assert _entries(kernel(m)) == _entries(reference_kernel(m))
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=repr)
+@LAWS
+@given(data=st.data())
+def test_kernel_and_intersection_bases_are_already_reduced(field, data):
+    m = data.draw(_matrices(field))
+    k = kernel(m)
+    assert _entries(Subspace(field, m.cols, k.basis.entries)) == _entries(k)
+    n = data.draw(st.integers(1, 6))
+    u = Subspace(field, n, data.draw(_matrices(field, cols=n)).entries)
+    v = Subspace(field, n, data.draw(_matrices(field, cols=n)).entries)
+    meet = subspace_intersect(u, v)
+    assert _entries(Subspace(field, n, meet.basis.entries)) == _entries(meet)
+
+
+@LAWS
+@given(m=_matrices(QQ))
+def test_kernel_agrees_with_sympy_over_the_rationals(m):
+    sympy = pytest.importorskip("sympy")
+    theirs = sympy.Matrix(m.rows, m.cols, list(m.flatten())).nullspace()
+    if theirs:
+        reduced, _ = sympy.Matrix.hstack(*theirs).T.rref()
+        expected = [
+            [Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(theirs))
+        ]
+    else:
+        expected = []
+    assert kernel(m).basis.to_lists() == expected

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmalie.algebra import FDAlgebra, _facts
+from gmalie.algebra import FDAlgebra, _facts, _generators, _lie_generators
 from gmalie.catalog import load_example
 from gmalie.constructions import (
     dual_numbers,
@@ -17,8 +17,8 @@ from gmalie.errors import CharacteristicTwoError, PreconditionError
 from gmalie.fields import GF, QQ, Field
 from gmalie.gma import assemble, peirce
 from gmalie import spaces
-from gmalie.linalg import Matrix, kernel, sparse_kernel
-from gmalie.rows import value_solutions
+from gmalie.linalg import Matrix, _echelon, kernel, sparse_kernel
+from gmalie.rows import bracket_system, product_system, value_solutions
 from gmalie.spaces import (
     EndoMap,
     central_map_space,
@@ -227,11 +227,22 @@ def test_derived_facts_are_computed_once_per_algebra_value(monkeypatch):
     assert kernels == [g.algebra.dim]
 
 
+def _column_blocks(rows) -> int:
+    """Number of groups of columns joined by sharing a row."""
+    groups = []
+    for _, cols, _ in rows:
+        joined = [g for g in groups if g.intersection(cols)]
+        merged = set(cols).union(*joined)
+        if merged:
+            groups = [g for g in groups if g not in joined] + [merged]
+    return len(groups)
+
+
 @pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=repr)
 def test_oracle_canonicalizes_no_scalar_inside_sparse_kernel(monkeypatch, field):
     # structure constants that are canonical already (ints below p, or
-    # Fractions): the oracle's block matrices go through the public
-    # Matrix(...) once per block, and not one entry through Field.of.  A
+    # Fractions): the oracle's blocks are eliminated once each, with no
+    # Matrix built for them, and not one entry goes through Field.of.  A
     # random basis over GF(p) is dense, so the oracle solves it over the
     # values on a generating set: the row solve is forced first, and the
     # values solve is held to the same rule after it
@@ -248,6 +259,7 @@ def test_oracle_canonicalizes_no_scalar_inside_sparse_kernel(monkeypatch, field)
         monkeypatch,
         (Field, Field.of),
         (Matrix, Matrix.__init__),
+        _echelon,
         kernel,
         sparse_kernel,
         value_solutions,
@@ -269,9 +281,17 @@ def test_oracle_canonicalizes_no_scalar_inside_sparse_kernel(monkeypatch, field)
 
     assert solves() == 2
     assert [c for c in calls if c[0] == "of" and "sparse_kernel" in c[2]] == []
-    blocks = inside("kernel")
-    assert len(blocks) >= 2
-    assert len(inside("__init__")) == len(blocks)
+    assert [c for c in calls if c[0] == "__init__" and "sparse_kernel" in c[2]] == []
+    blocks = _column_blocks(product_system(a, _generators(a)))
+    blocks += _column_blocks(bracket_system(a, _lie_generators(a)))
+    assert blocks >= 2
+    assert len(inside("_echelon")) == blocks
+    # every null space the oracle takes through kernel is one elimination
+    in_kernel = [
+        c[0] for c in calls if c[0] == "kernel" or (c[0] == "_echelon" and "kernel" in c[2])
+    ]
+    assert "kernel" in in_kernel
+    assert in_kernel == ["kernel", "_echelon"] * (len(in_kernel) // 2)
 
     if field.is_prime_field:
         monkeypatch.setattr(spaces, "_dense", dense)
@@ -280,4 +300,4 @@ def test_oracle_canonicalizes_no_scalar_inside_sparse_kernel(monkeypatch, field)
         derivation_space(a)
         lie_derivation_space(a)
         assert (solves(), solves("value_solutions")) == (0, 2)
-        assert [c for c in calls if "value_solutions" in c[2]] == []
+        assert [c for c in calls if "value_solutions" in c[2] and c[0] != "_echelon"] == []
