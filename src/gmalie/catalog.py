@@ -26,15 +26,6 @@ from .workspace import (
     parse_workspace,
 )
 
-EXAMPLE_NAMES = (
-    "example_sec4",
-    "tri2_Q",
-    "tri2_GF5",
-    "mat2_GF3_peirce",
-    "mat3_GF3_peirce",
-    "trivial_QQQ",
-)
-
 __all__ = ["EXAMPLE_NAMES", "build_document", "load_example"]
 
 
@@ -88,20 +79,22 @@ def _trivial_qqq_document() -> dict:
     return _context_document(ctx)
 
 
+_EXAMPLES = {
+    "example_sec4": _sec4_document,
+    "tri2_Q": lambda: _tri2_document(QQ),
+    "tri2_GF5": lambda: _tri2_document(GF(5)),
+    "mat2_GF3_peirce": lambda: _peirce_document(GF(3), 2),
+    "mat3_GF3_peirce": lambda: _peirce_document(GF(3), 3),
+    "trivial_QQQ": _trivial_qqq_document,
+}
+
+EXAMPLE_NAMES = tuple(_EXAMPLES)
+
+
 def build_document(name: str) -> dict:
-    if name == "example_sec4":
-        return _sec4_document()
-    if name == "tri2_Q":
-        return _tri2_document(QQ)
-    if name == "tri2_GF5":
-        return _tri2_document(GF(5))
-    if name == "mat2_GF3_peirce":
-        return _peirce_document(GF(3), 2)
-    if name == "mat3_GF3_peirce":
-        return _peirce_document(GF(3), 3)
-    if name == "trivial_QQQ":
-        return _trivial_qqq_document()
-    raise KeyError(f"no bundled example named {name!r} (have {', '.join(EXAMPLE_NAMES)})")
+    if name not in _EXAMPLES:
+        raise KeyError(f"no bundled example named {name!r} (have {', '.join(EXAMPLE_NAMES)})")
+    return _EXAMPLES[name]()
 
 
 def load_example(name: str) -> Workspace:

@@ -4,7 +4,13 @@ Raw random tensors essentially never satisfy the context axioms, so the
 generator composes known-valid building blocks instead: Peirce contexts of
 small matrix and triangular algebras, triangular and zero-pairing contexts
 over small commutative algebras, direct sums, pairing twists, and
-transposes.  The generator checks nothing itself: :func:`fuzz` assembles
+transposes.  The catalog is one table of (label, dims, builder) rows over
+three building blocks (the field itself, the dual numbers and the split
+pair F x F), which are built once per run.  Each builder runs at most once
+per run too, so every draw of an entry shares one context object, with
+its cached hashes and memo entries.  A new family goes in under a new
+catalog or config name: a new row in this table changes what existing
+seeds generate.  The generator checks nothing itself: :func:`fuzz` assembles
 every context, which validates it, and an invalid one is a
 :class:`ConsistencyError`.
 
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import DEFAULT_BUDGET
 from .constructions import (
@@ -61,88 +68,32 @@ class FuzzConfig:
 
 
 def _catalog(f: Field):
-    """Fixed-order list of (label, block_dims, builder)."""
-    entries = []
-
-    def add(label, dims, builder):
-        entries.append((label, dims, builder))
-
-    add("mat2_peirce", (1, 1, 1, 1), lambda: _peirce_e11(matrix_algebra(f, 2)))
-    add(
-        "mat2_peirce_skew",
-        (1, 1, 1, 1),
-        lambda: peirce(matrix_algebra(f, 2), _skew_idempotent(f)),
-    )
-    add(
-        "tri2_peirce",
-        (1, 1, 0, 1),
-        lambda: _peirce_e11(upper_triangular_algebra(f, 2)),
-    )
-    add(
-        "tri_scalar",
-        (1, 1, 0, 1),
-        lambda: triangular_context(
-            field_algebra(f),
-            regular_bimodule(field_algebra(f)),
-            field_algebra(f),
-        ),
-    )
-    add(
-        "tri_dual_left",
-        (2, 2, 0, 1),
-        lambda: triangular_context(
-            dual_numbers(f),
-            left_regular_bimodule(dual_numbers(f), field_algebra(f)),
-            field_algebra(f),
-        ),
-    )
-    add(
-        "tri_dual_right",
-        (1, 2, 0, 2),
-        lambda: triangular_context(
-            field_algebra(f),
-            right_regular_bimodule(field_algebra(f), dual_numbers(f)),
-            dual_numbers(f),
-        ),
-    )
-    add(
-        "trivial_dual_pair",
-        (2, 2, 2, 2),
-        lambda: trivial_context(
-            dual_numbers(f),
-            dual_numbers(f),
-            regular_bimodule(dual_numbers(f)),
-            regular_bimodule(dual_numbers(f)),
-        ),
-    )
-    add(
-        "trivial_split_pair",
-        (2, 2, 2, 2),
-        lambda: trivial_context(
-            split_pair_algebra(f),
-            split_pair_algebra(f),
-            regular_bimodule(split_pair_algebra(f)),
-            regular_bimodule(split_pair_algebra(f)),
-        ),
-    )
-    add(
-        "trivial_mixed",
-        (2, 2, 2, 1),
-        lambda: trivial_context(
-            dual_numbers(f),
-            field_algebra(f),
-            left_regular_bimodule(dual_numbers(f), field_algebra(f)),
-            right_regular_bimodule(field_algebra(f), dual_numbers(f)),
-        ),
-    )
-    add(
-        "tri3_peirce",
-        (1, 2, 0, 3),
-        lambda: _peirce_e11(upper_triangular_algebra(f, 3)),
-    )
-    add("mat3_peirce", (1, 2, 2, 4), lambda: _peirce_e11(matrix_algebra(f, 3)))
-    add("ambient_nilpotents", (2, 3, 3, 2), lambda: ambient_commutative_context(f))
-    return entries
+    """Fixed-order list of (label, block_dims, builder).  The three building
+    blocks are built once per call, and each builder runs at most once: a
+    later call returns the context it built first."""
+    one, dual, split = field_algebra(f), dual_numbers(f), split_pair_algebra(f)
+    table = [
+        ("mat2_peirce", (1, 1, 1, 1), lambda: _peirce_e11(matrix_algebra(f, 2))),
+        ("mat2_peirce_skew", (1, 1, 1, 1),
+         lambda: peirce(matrix_algebra(f, 2), _skew_idempotent(f))),
+        ("tri2_peirce", (1, 1, 0, 1), lambda: _peirce_e11(upper_triangular_algebra(f, 2))),
+        ("tri_scalar", (1, 1, 0, 1), lambda: triangular_context(one, regular_bimodule(one), one)),
+        ("tri_dual_left", (2, 2, 0, 1),
+         lambda: triangular_context(dual, left_regular_bimodule(dual, one), one)),
+        ("tri_dual_right", (1, 2, 0, 2),
+         lambda: triangular_context(one, right_regular_bimodule(one, dual), dual)),
+        ("trivial_dual_pair", (2, 2, 2, 2),
+         lambda: trivial_context(dual, dual, regular_bimodule(dual), regular_bimodule(dual))),
+        ("trivial_split_pair", (2, 2, 2, 2),
+         lambda: trivial_context(split, split, regular_bimodule(split), regular_bimodule(split))),
+        ("trivial_mixed", (2, 2, 2, 1),
+         lambda: trivial_context(
+             dual, one, left_regular_bimodule(dual, one), right_regular_bimodule(one, dual))),
+        ("tri3_peirce", (1, 2, 0, 3), lambda: _peirce_e11(upper_triangular_algebra(f, 3))),
+        ("mat3_peirce", (1, 2, 2, 4), lambda: _peirce_e11(matrix_algebra(f, 3))),
+        ("ambient_nilpotents", (2, 3, 3, 2), lambda: ambient_commutative_context(f)),
+    ]
+    return [(label, dims, cache(builder)) for label, dims, builder in table]
 
 
 def _peirce_e11(a):
@@ -160,8 +111,19 @@ def _fits(dims, bounds):
     return all(d <= b for d, b in zip(dims, bounds))
 
 
+def _fitting_pair(rng, base, bounds):
+    """The first of up to 16 drawn pairs of entries whose summed dims fit
+    the bounds, or None."""
+    for _ in range(16):
+        first, second = base[rng.randrange(len(base))], base[rng.randrange(len(base))]
+        if _fits([x + y for x, y in zip(first[1], second[1])], bounds):
+            return first, second
+    return None
+
+
 def generate_contexts(config: FuzzConfig):
-    """Deterministic stream of (label, context) pairs within the dim bounds."""
+    """Deterministic stream of (label, context) pairs within the dim bounds.
+    Draws of one catalog entry share one context object."""
     f = config.field
     if f.characteristic == 2:
         raise CharacteristicTwoError(
@@ -172,24 +134,27 @@ def generate_contexts(config: FuzzConfig):
         if value < 0:
             raise PreconditionError(f"{name} must be non-negative, got {value}")
     rng = random.Random(config.seed)
-    base = [
-        (label, dims, builder)
-        for label, dims, builder in _catalog(f)
-        if _fits(dims, config.max_dims)
-    ]
+    base = [entry for entry in _catalog(f) if _fits(entry[1], config.max_dims)]
     if not base:
         raise PreconditionError(
             f"dimension bounds {config.max_dims} exclude every catalog entry"
         )
     out = []
     for _ in range(config.count):
+        # below 0.60 a plain draw, below 0.85 a twist or a transpose, else a
+        # direct sum; with one entry, or no fitting pair, a plain draw
         roll = rng.random()
-        if roll < 0.60 or len(base) < 2:
-            label, dims, builder = base[rng.randrange(len(base))]
-            ctx = builder()
-        elif roll < 0.85:
-            label, dims, builder = base[rng.randrange(len(base))]
-            ctx = builder()
+        if len(base) < 2:
+            roll = 0.0
+        pair = _fitting_pair(rng, base, config.max_dims) if roll >= 0.85 else None
+        if pair:
+            (first, _, build_first), (second, _, build_second) = pair
+            ctx = direct_sum_context(build_first(), build_second())
+            out.append((f"{first}+{second}", ctx))
+            continue
+        label, _, builder = base[rng.randrange(len(base))]
+        ctx = builder()
+        if 0.60 <= roll < 0.85:
             if rng.random() < 0.5 and not is_trivial(ctx) and f.is_prime_field and f.p > 2:
                 lam = rng.randrange(2, f.p)
                 ctx = scale_pairings(ctx, lam)
@@ -197,23 +162,6 @@ def generate_contexts(config: FuzzConfig):
             else:
                 ctx = transpose_context(ctx)
                 label = f"{label}~transpose"
-        else:
-            picks = []
-            for _ in range(16):
-                i = rng.randrange(len(base))
-                j = rng.randrange(len(base))
-                summed = tuple(
-                    x + y for x, y in zip(base[i][1], base[j][1])
-                )
-                if _fits(summed, config.max_dims):
-                    picks = [base[i], base[j]]
-                    break
-            if picks:
-                ctx = direct_sum_context(picks[0][2](), picks[1][2]())
-                label = f"{picks[0][0]}+{picks[1][0]}"
-            else:
-                label, dims, builder = base[rng.randrange(len(base))]
-                ctx = builder()
         out.append((label, ctx))
     return out
 

@@ -340,8 +340,9 @@ def test_large_modulus_exits_two(capsys, tmp_path, monkeypatch):
     def no_trial_division(n):
         raise AssertionError(f"is_prime({n}) called for an out-of-range modulus")
 
-    monkeypatch.setattr("gmalie.fields.is_prime", no_trial_division)
+    # the document needs GF(5), so it is built before the patch
     doc = build_document("tri2_GF5")
+    monkeypatch.setattr("gmalie.fields.is_prime", no_trial_division)
     doc["field"]["p"] = 2**61 - 1
     bad = tmp_path / "big.json"
     bad.write_text(render_json(doc))

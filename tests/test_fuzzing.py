@@ -1,12 +1,24 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 import gmalie.fuzzing
 import gmalie.morita
 from gmalie.algebra import _facts
+from gmalie.constructions import (
+    ambient_commutative_context,
+    dual_numbers,
+    field_algebra,
+    split_pair_algebra,
+    triangular_context,
+    trivial_context,
+)
 from gmalie.errors import CharacteristicTwoError, ConsistencyError, PreconditionError
 from gmalie.fields import GF, QQ
 from gmalie.fuzzing import FuzzConfig, fuzz, generate_contexts
-from gmalie.gma import gma_structure_tensor
+from gmalie.gma import gma_structure_tensor, peirce
 from gmalie.linalg import Subspace
 from gmalie.morita import (
     MoritaContext,
@@ -18,6 +30,8 @@ from gmalie.morita import (
 from gmalie.spaces import _algebra_of, has_lie_derivation_property
 
 from helpers import record_calls, record_structure_checks
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def test_generation_is_deterministic():
@@ -162,3 +176,45 @@ def test_fuzz_decides_each_algebra_and_module_fact_once(monkeypatch):
             built = [(around[-1], args[0]) for name, args, around in calls if name == "_action_kernel"]
             assert len(asked) > len(set(asked))
             assert len(built) == len(set(built)) and set(built) == set(asked)
+
+
+@pytest.mark.parametrize("key, field", [("3", GF(3)), ("5", GF(5)), ("0", QQ)], ids=str)
+def test_fuzz_reports_match_the_recorded_digests(key, field):
+    # the benchmark's recorded fuzz reports (seeds 1-8, count 6, max dims 2),
+    # digested as its fuzz workload does: a change to a generated stream
+    # fails here too
+    expected = json.loads(EXPECTED.read_text())["fuzz"][key]
+    for seed in range(1, 9):
+        report = fuzz(FuzzConfig(seed=seed, count=6, field=field, max_dims=(2, 2, 2, 2)))
+        doc = json.dumps(report.to_doc(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == expected[str(seed)], seed
+
+
+def test_catalog_builds_each_block_and_each_context_once(monkeypatch):
+    blocks = record_calls(monkeypatch, field_algebra, dual_numbers, split_pair_algebra)
+    gmalie.fuzzing._catalog(GF(3))
+    assert sorted(name for name, _, _ in blocks) == [
+        "dual_numbers",
+        "field_algebra",
+        "split_pair_algebra",
+    ]
+    # every builder's outermost call is one of these constructions
+    built = record_calls(
+        monkeypatch, peirce, triangular_context, trivial_context, ambient_commutative_context
+    )
+    contexts = generate_contexts(FuzzConfig(seed=5, count=60, max_dims=(2, 3, 3, 4)))
+    drawn = {part for label, _ in contexts for part in label.split("~")[0].split("+")}
+    assert len([name for name, _, around in built if not around]) == len(drawn)
+    plain = [(label, ctx) for label, ctx in contexts if "~" not in label and "+" not in label]
+    first = {}
+    for label, ctx in plain:
+        assert first.setdefault(label, ctx) is ctx, label
+    assert len(first) < len(plain)
+
+
+def test_fuzz_structure_check_count(monkeypatch):
+    # 540 when every draw ran its builder afresh and every builder built its
+    # own building blocks
+    calls = record_structure_checks(monkeypatch)
+    fuzz(FuzzConfig(seed=1, count=100, field=GF(3)))
+    assert len(calls) == 142
