@@ -11,8 +11,11 @@ path relies on it for its slot bound.
 a pivot row's nonzeros are listed once, and each row it clears is updated
 on that list only.  Cheap when rows stay sparse, and it holds for any
 modulus the field accepts.  It is also the elimination over the rationals,
-called with p = 0: entries are Fractions, a pivot is inverted with
-``1 / pv`` and nothing is reduced mod p.  The packed path is GF(p) only.
+called with p = 0: entries are canonical rationals (ints when integral,
+else Fractions in lowest terms), a pivot is inverted exactly by
+``QQ.inv``, every entry the loop writes goes back through the field's
+normalizer, so integral values stay ints, and nothing is reduced mod p.
+The packed path is GF(p) only.
 
 **Packed path** (:func:`_rref_packed`).  Each row is one Python int with
 b-bit slots, column c in bits ``[b*c, b*(c+1))``, after Dumas, Fousse and
@@ -57,6 +60,8 @@ timed on both paths (``BENCH_packed_kernel.json``):
 from __future__ import annotations
 
 import struct
+
+from .fields import QQ, _rational
 
 # slot widths of the packed path, with the struct codes that pack them
 _WIDTHS = ((16, "H"), (32, "I"), (64, "Q"))
@@ -147,10 +152,10 @@ def _rref_support(data, p):
                     if prow[j]:
                         prow[j] = prow[j] * inv % p
             else:
-                inv = 1 / pv
+                inv = QQ.inv(pv)
                 for j in range(c, nc):
                     if prow[j]:
-                        prow[j] *= inv
+                        prow[j] = _rational(prow[j] * inv)
         # the pivot row's nonzeros, found once and reused for every row
         support = [(j, pj) for j in range(c, nc) if (pj := prow[j])]
         for i in range(nr):
@@ -164,7 +169,7 @@ def _rref_support(data, p):
                         ri[j] = (ri[j] - f * pj) % p
                 else:
                     for j, pj in support:
-                        ri[j] -= f * pj
+                        ri[j] = _rational(ri[j] - f * pj)
         pivots.append(c)
         r += 1
         if r == nr:

@@ -1,7 +1,10 @@
 """Exact scalar fields: the rationals and prime fields GF(p).
 
-Rational scalars are `fractions.Fraction` values (always in lowest terms);
-prime-field scalars are plain ints reduced to the least non-negative residue.
+A rational scalar is a plain int when it is integral and a
+`fractions.Fraction` in lowest terms with a denominator above 1 otherwise, so
+the integer scalars that fill most structure tensors and systems compute at
+int speed; every QQ operation returns its result through one normalizer.
+Prime-field scalars are plain ints reduced to the least non-negative residue.
 No floating point appears anywhere in the package.
 """
 
@@ -32,8 +35,14 @@ def is_prime(n: int) -> bool:
 # the scalar strings a workspace may hold: "a" or "a/b" in ASCII digits
 _SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-# Fractions are immutable, so every rational zero and one can be the same object.
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+# the types of canonical rationals
+_Q_KINDS = frozenset((int, Fraction))
+
+
+def _rational(x):
+    """The canonical rational of an int or a Fraction: an int when it is
+    integral (a bool included), else the Fraction itself."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 class Field:
@@ -79,7 +88,8 @@ class Field:
     # -- scalar construction ----------------------------------------------
 
     def of(self, value):
-        """Canonicalize a scalar: reduced Fraction over Q, residue over GF(p)."""
+        """Canonicalize a scalar: over Q an int when integral, else a reduced
+        Fraction; over GF(p) the least non-negative residue."""
         if self.kind == "GF":
             if isinstance(value, bool):
                 value = int(value)
@@ -91,16 +101,15 @@ class Field:
                     raise ZeroDivisionError(f"denominator divisible by {self.p}")
                 return value.numerator * pow(den, -1, self.p) % self.p
             raise TypeError(f"cannot coerce {value!r} into {self!r}")
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, bool) or isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return _rational(value)
         raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
     def vector(self, values) -> tuple:
         """Canonicalize a sequence of scalars: the tuple of ``of`` on each
         entry, with the same errors.  One scan of the entries' types decides
-        it, so canonical input comes back as it is."""
+        it (over Q, a row that mixes in Fractions also has their
+        denominators read), so canonical input comes back as it is."""
         values = tuple(values)
         kinds = set(map(type, values))
         if self.kind == "GF":
@@ -109,7 +118,9 @@ class Field:
                 if min(values) >= 0 and max(values) < p:
                     return values
                 return tuple(x % p for x in values)
-        elif kinds == {Fraction}:
+        elif kinds == {int} or (
+            kinds <= _Q_KINDS and all(type(x) is int or x.denominator != 1 for x in values)
+        ):
             return values
         return tuple(map(self.of, values))
 
@@ -139,23 +150,23 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.kind == "GF" else _Q_ZERO
+        return 0
 
     @property
     def one(self):
-        return 1 if self.kind == "GF" else _Q_ONE
+        return 1
 
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "GF" else a + b
+        return (a + b) % self.p if self.kind == "GF" else _rational(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "GF" else a - b
+        return (a - b) % self.p if self.kind == "GF" else _rational(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "GF" else a * b
+        return (a * b) % self.p if self.kind == "GF" else _rational(a * b)
 
     def neg(self, a):
-        return (-a) % self.p if self.kind == "GF" else -a
+        return (-a) % self.p if self.kind == "GF" else _rational(-a)
 
     def inv(self, a):
         if self.kind == "GF":
@@ -164,7 +175,7 @@ class Field:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return _Q_ONE / a
+        return _rational(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

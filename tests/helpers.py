@@ -77,6 +77,12 @@ def modp_rank(rows, p) -> int:
     return rank
 
 
+def is_canonical_rational(x):
+    """A canonical QQ scalar: an int that is not a bool, or a Fraction that
+    is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def reference_rref_mod_p(data, p):
     """Gauss-Jordan over GF(p), or over the rationals when ``p`` is 0, that
     reads the pivot row's entries column by column for every row it clears;

@@ -11,6 +11,7 @@ import pytest
 from gmalie.algebra import (
     FDAlgebra,
     _associator_fails,
+    _facts,
     _generators,
     analyze_algebra,
     center,
@@ -70,9 +71,16 @@ def test_bracket_alternating_and_matrix_units():
     assert a.bracket(e11, e12) == e12
 
 
+def _half_square(f):
+    """F[x]/(x^2 - 1/4) with basis (1, x): a structure constant that stays a
+    Fraction over QQ, so hashing the tensor calls ``Fraction.__hash__``."""
+    x2 = (Fraction(1, 4), 0)
+    return FDAlgebra(f, 2, (((1, 0), (0, 1)), ((0, 1), x2)), (1, 0))
+
+
 def test_algebra_hash_is_cached_and_agrees_between_equal_algebras(monkeypatch):
-    a = matrix_algebra(QQ, 2)
-    twin = matrix_algebra(QQ, 2)
+    a = _half_square(QQ)
+    twin = _half_square(QQ)
     assert twin is not a and hash(twin) == hash(a)
     walked = []
     real = Fraction.__hash__
@@ -84,8 +92,20 @@ def test_algebra_hash_is_cached_and_agrees_between_equal_algebras(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counting)
     hash(a)
     assert walked == []  # the second hash does not walk the structure again
-    assert hash(matrix_algebra(QQ, 2)) == hash(a)
-    assert walked  # a fresh instance walks it once
+    assert hash(_half_square(QQ)) == hash(a)
+    assert walked == [Fraction(1, 4)]  # a fresh instance walks it once
+
+
+def test_integral_fractions_and_ints_build_one_algebra():
+    # Q[x]/(x^2 - 3), once from ints and once from integral Fractions
+    a = FDAlgebra(QQ, 2, (((1, 0), (0, 1)), ((0, 1), (3, 0))), (1, 0))
+    one, zero = Fraction(1), Fraction(0)
+    tensor = (((one, zero), (zero, one)), ((zero, one), (Fraction(3), zero)))
+    b = FDAlgebra(QQ, 2, tensor, (one, zero))
+    assert a == b and hash(a) == hash(b)
+    assert {type(x) for plane in b.structure for row in plane for x in row + b.unit} == {int}
+    assert _facts(a) is _facts(b)  # one memo entry
+    assert commutator_span(b) is commutator_span(a)
 
 
 def test_algebra_hash_does_not_depend_on_the_string_hash_seed():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from gmalie.errors import DimensionMismatch
 from gmalie.fields import GF, QQ, Field, field_from_doc, is_prime
 
+from helpers import is_canonical_rational
+
 
 def test_rational_scalars_stay_reduced():
     assert QQ.parse("2/4") == Fraction(1, 2)
@@ -123,12 +125,37 @@ def test_parse_refuses_an_exponent_at_once():
     assert time.perf_counter() - started < 0.1
 
 
+_RATIONALS = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.booleans(),
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_RATIONALS, b=_RATIONALS)
+def test_rational_operations_return_canonical_scalars(a, b):
+    f = QQ
+    x, y = f.of(a), f.of(b)
+    assert (x, y) == (a, b)
+    text = f"{Fraction(a).numerator}/{Fraction(a).denominator}"
+    found = [x, y, f.parse(text), f.parse(int(b)), *f.vector([a, b]), f.zero, f.one]
+    found += [f.add(x, y), f.sub(x, y), f.mul(x, y), f.neg(x)]
+    if y:
+        found += [f.inv(y), f.div(x, y)]
+    assert all(map(is_canonical_rational, found)), [(type(v), v) for v in found]
+    assert f.format(x) == (x if type(x) is int else f"{x.numerator}/{x.denominator}")
+
+
 def test_rational_inverse_is_exact():
     assert QQ.inv(3) == Fraction(1, 3)
     assert type(QQ.inv(3)) is Fraction
     assert type(QQ.inv(Fraction(2, 3))) is Fraction
     assert QQ.div(1, 3) == Fraction(1, 3)
     assert type(QQ.div(1, 3)) is Fraction
+    assert type(QQ.inv(Fraction(-1, 3))) is int and QQ.inv(Fraction(-1, 3)) == -3
+    assert type(QQ.div(Fraction(3, 2), Fraction(1, 2))) is int
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
 
@@ -180,8 +207,10 @@ def test_vector_agrees_with_of_entry_by_entry(field, values):
 def test_vector_returns_canonical_input_as_it_is():
     row = (0, 1, 2)
     assert GF(3).vector(row) is row
-    row = (Fraction(1, 2), Fraction(0))
+    row = (Fraction(1, 2), 0)
     assert QQ.vector(row) is row
+    found = QQ.vector((Fraction(1, 2), Fraction(2)))
+    assert found == (Fraction(1, 2), 2) and type(found[1]) is int
     assert GF(3).vector(()) == ()
     assert GF(3).vector([3, -1, 2]) == (0, 2, 2)
     with pytest.raises(ZeroDivisionError):

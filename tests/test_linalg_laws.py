@@ -11,7 +11,10 @@ zero columns come up often:
 - over QQ, ``rref`` agrees with sympy's (skipped where sympy is missing);
 - ``kernel`` equals the two-pass reference entry for entry, the bases of
   ``kernel`` and ``subspace_intersect`` are unchanged by a second
-  reduction, and over QQ ``kernel`` agrees with sympy's null space.
+  reduction, and over QQ ``kernel`` agrees with sympy's null space;
+- over QQ every scalar these routines return is canonical: an int, or a
+  Fraction that is not integral (never a float, a bool or Fraction(3)),
+  and the rational elimination of int rows is exact.
 """
 
 from fractions import Fraction
@@ -19,6 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmalie._kernel import _rref_support
 from gmalie.fields import GF, QQ
 from gmalie.linalg import (
     Matrix,
@@ -27,11 +31,12 @@ from gmalie.linalg import (
     kernel,
     rref,
     solve,
+    sparse_kernel,
     subspace_intersect,
     subspace_sum,
 )
 
-from helpers import reference_kernel
+from helpers import is_canonical_rational, reference_kernel, reference_rref_mod_p
 
 FIELDS = [QQ, GF(3), GF(5), GF(2**31 - 1)]
 SMALL_FIELDS = [QQ, GF(3), GF(5)]
@@ -199,3 +204,48 @@ def test_kernel_agrees_with_sympy_over_the_rationals(m):
     else:
         expected = []
     assert kernel(m).basis.to_lists() == expected
+
+
+@LAWS
+@given(data=st.data())
+def test_rational_results_are_canonical(data):
+    m = data.draw(_matrices(QQ))
+    n = m.cols
+    u = Subspace(QQ, n, data.draw(_matrices(QQ, cols=n)).entries)
+    v = Subspace(QQ, n, data.draw(_matrices(QQ, cols=n)).entries)
+    sparse = [tuple(zip(*[(c, x) for c, x in enumerate(row) if x])) for row in m.entries]
+    x = data.draw(st.lists(_scalars(QQ), min_size=n, max_size=n))
+    square = data.draw(_matrices(QQ, n, n))
+    found = [
+        *rref(m)[0].entries,
+        *kernel(m).basis.entries,
+        *sparse_kernel(QQ, n, [row for row in sparse if row]).basis.entries,
+        *subspace_intersect(u, v).basis.entries,
+        solve(m, m.apply(x)),
+        *(inverse(square) or square).entries,
+    ]
+    assert all(is_canonical_rational(y) for row in found for y in row), found
+
+
+_INT_ROWS = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), min_size=1, max_size=5
+    )
+)
+
+
+@LAWS
+@given(rows=_INT_ROWS)
+def test_rational_elimination_of_int_rows_is_exact(rows):
+    found, pivots = _rref_support(rows, 0)
+    assert (found, pivots) == reference_rref_mod_p(rows, 0)
+    assert all(is_canonical_rational(y) for row in found for y in row), found
+
+
+def test_rational_elimination_inverts_pivots_exactly():
+    # pivots 2, 3 and -4: an inexact inverse would leave floats behind
+    rows, pivots = _rref_support([[2, 3, 0], [0, 3, 6], [-4, 0, 1]], 0)
+    assert pivots == [0, 1, 2]
+    assert [[type(y) for y in row] for row in rows] == [[int] * 3] * 3
+    rows, _ = _rref_support([[2, 3], [4, 6]], 0)
+    assert rows == [[1, Fraction(3, 2)]] and type(rows[0][0]) is int
