@@ -12,9 +12,10 @@ a pivot row's nonzeros are listed once, and each row it clears is updated
 on that list only.  Cheap when rows stay sparse, and it holds for any
 modulus the field accepts.  It is also the elimination over the rationals,
 called with p = 0: entries are canonical rationals (ints when integral,
-else Fractions in lowest terms), a pivot is inverted exactly by
-``QQ.inv``, every entry the loop writes goes back through the field's
-normalizer, so integral values stay ints, and nothing is reduced mod p.
+else Fractions in lowest terms), a pivot is inverted exactly, as a
+Fraction (``1 / pv`` would give a float on an int pivot), every entry the
+loop writes goes back through the field's normalizer, so integral values
+stay ints, and nothing is reduced mod p.
 The packed path is GF(p) only.
 
 **Packed path** (:func:`_rref_packed`).  Each row is one Python int with
@@ -60,8 +61,9 @@ timed on both paths (``BENCH_packed_kernel.json``):
 from __future__ import annotations
 
 import struct
+from fractions import Fraction
 
-from .fields import QQ, _rational
+from .fields import _rational
 
 # slot widths of the packed path, with the struct codes that pack them
 _WIDTHS = ((16, "H"), (32, "I"), (64, "Q"))
@@ -152,7 +154,7 @@ def _rref_support(data, p):
                     if prow[j]:
                         prow[j] = prow[j] * inv % p
             else:
-                inv = QQ.inv(pv)
+                inv = _rational(Fraction(pv.denominator, pv.numerator))
                 for j in range(c, nc):
                     if prow[j]:
                         prow[j] = _rational(prow[j] * inv)

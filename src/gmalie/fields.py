@@ -35,13 +35,12 @@ def is_prime(n: int) -> bool:
 # the scalar strings a workspace may hold: "a" or "a/b" in ASCII digits
 _SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-# the types of canonical rationals
-_Q_KINDS = frozenset((int, Fraction))
-
 
 def _rational(x):
     """The canonical rational of an int or a Fraction: an int when it is
-    integral (a bool included), else the Fraction itself."""
+    integral (a bool included), else the Fraction itself.  ``Field.vector``
+    tests rows against the same rule: an int is canonical, and a Fraction is
+    when its denominator is not 1."""
     return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
@@ -118,8 +117,8 @@ class Field:
                 if min(values) >= 0 and max(values) < p:
                     return values
                 return tuple(x % p for x in values)
-        elif kinds == {int} or (
-            kinds <= _Q_KINDS and all(type(x) is int or x.denominator != 1 for x in values)
+        elif kinds == {int} or all(
+            type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values
         ):
             return values
         return tuple(map(self.of, values))
@@ -175,7 +174,8 @@ class Field:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return _rational(Fraction(a.denominator, a.numerator))
+        # a new Fraction, canonicalized by ``of`` as a parsed one is
+        return self.of(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -20,7 +20,7 @@ zero columns come up often:
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gmalie._kernel import _rref_support
 from gmalie.fields import GF, QQ
@@ -236,16 +236,10 @@ _INT_ROWS = st.integers(1, 5).flatmap(
 
 @LAWS
 @given(rows=_INT_ROWS)
+# pivots 2, 3 and -4: an inexact inverse would leave floats behind
+@example(rows=[[2, 3, 0], [0, 3, 6], [-4, 0, 1]])
+@example(rows=[[2, 3], [4, 6]])
 def test_rational_elimination_of_int_rows_is_exact(rows):
     found, pivots = _rref_support(rows, 0)
     assert (found, pivots) == reference_rref_mod_p(rows, 0)
     assert all(is_canonical_rational(y) for row in found for y in row), found
-
-
-def test_rational_elimination_inverts_pivots_exactly():
-    # pivots 2, 3 and -4: an inexact inverse would leave floats behind
-    rows, pivots = _rref_support([[2, 3, 0], [0, 3, 6], [-4, 0, 1]], 0)
-    assert pivots == [0, 1, 2]
-    assert [[type(y) for y in row] for row in rows] == [[int] * 3] * 3
-    rows, _ = _rref_support([[2, 3], [4, 6]], 0)
-    assert rows == [[1, Fraction(3, 2)]] and type(rows[0][0]) is int
