@@ -174,7 +174,8 @@ class Field:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        # a new Fraction, canonicalized by ``of`` as a parsed one is
+        # through ``of``, as a parsed scalar is: perfbench's traced run
+        # counts the Field.of calls and needs that count on every workload
         return self.of(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
