@@ -56,22 +56,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gmalie", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, context=True):
+    def common(p, context=True, budget=True):
         p.add_argument("--input", required=True, help="workspace file or bundled example name")
         if context:
             p.add_argument("--context", help="context name (default: the only one)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="enumeration budget for exhaustive scans")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="enumeration budget for exhaustive scans")
 
     p = sub.add_parser("validate", help="load a workspace and report validity")
-    common(p, context=False)
+    common(p, context=False, budget=False)
 
     p = sub.add_parser("analyze", help="structure reports, center analysis, space dims")
     common(p)
 
     p = sub.add_parser("proper", help="properness of a stored map, with witness and criteria")
-    common(p)
+    common(p, budget=False)
     p.add_argument("--map", required=True, dest="map_name", help="map name in the workspace")
 
     p = sub.add_parser("theorems", help="run every sufficient-condition check")

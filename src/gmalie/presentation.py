@@ -20,7 +20,7 @@ conditions are the block algebras' own rules lifted into vec(L).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 
@@ -42,8 +42,9 @@ from .spaces import (
     is_central_commutator_free,
     is_derivation,
     is_lie_derivation,
-    lie_defect,
     proper_space,
+    require_lie,
+    validate_split,
 )
 
 __all__ = [
@@ -204,16 +205,8 @@ def extract_lie(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
     either, for a verified Lie derivation, indicates an implementation bug
     and raises :class:`ConsistencyError`.
     """
-    _require_lie(g, endo)
+    require_lie(g.algebra, endo)
     return _verified(g, endo, _read_lie_parts(g, endo), _lie_flat, check_lie_parts)
-
-
-def _require_lie(g: GMAlgebra, endo: EndoMap):
-    defect = lie_defect(g.algebra, endo)
-    if defect is not None:
-        raise PreconditionError(
-            f"not a Lie derivation: bracket rule fails on basis pair {defect}"
-        )
 
 
 def extract_derivation(g: GMAlgebra, endo: EndoMap) -> LiePresentation:
@@ -483,33 +476,35 @@ def companion_central_maps(g: GMAlgebra, parts: LiePresentation):
     the center isomorphism (and its inverse).
 
     Requires a faithful module (the isomorphism exists) and both cross-map
-    ranges inside the projected centers; a range failure names the first
-    violating basis element.
+    ranges inside the projected centers, as the criteria rows decide them; a
+    range failure names the first violating basis element.
     """
-    analysis = center_analysis(g)
-    if analysis.center_iso is None:
+    if center_analysis(g).center_iso is None:
         raise PreconditionError(
             "companion maps need the center isomorphism (module not faithful)"
         )
-    iso = analysis.center_iso
-    iso_inv = inverse(iso)
-    if iso_inv is None:
-        raise ConsistencyError("center isomorphism is singular")
+    range_a, range_b, _ = _criteria_witnesses(g, _flat(g, parts, _LIE_SHAPES))
+    for which, i in (("first", range_a), ("second", range_b)):
+        if i is not None:
+            raise PreconditionError(
+                f"cross-map image of {which}-diagonal basis element {i} "
+                "is outside the projected center"
+            )
+    return _companions(g, parts)
+
+
+def _companions(g: GMAlgebra, parts: LiePresentation) -> tuple:
+    """The companions of cross maps with ranges in the projected centers: a
+    cross map's coordinates over its range's projected center are its rows
+    at the pivots, taken through the center isomorphism or its inverse."""
+    an = center_analysis(g)
     companions = []
-    for which, cross, source, target, through in (
-        ("first", parts.a_to_center_b, analysis.proj_b, analysis.proj_a, iso_inv),
-        ("second", parts.b_to_center_a, analysis.proj_a, analysis.proj_b, iso),
+    for cross, source, target, through in (
+        (parts.a_to_center_b, an.proj_b, an.proj_a, inverse(an.center_iso)),
+        (parts.b_to_center_a, an.proj_a, an.proj_b, an.center_iso),
     ):
-        cols = []
-        for i in range(cross.cols):
-            coords = source.coordinates(cross.column(i))
-            if coords is None:
-                raise PreconditionError(
-                    f"cross-map image of {which}-diagonal basis element {i} "
-                    "is outside the projected center"
-                )
-            cols.append(target.from_coordinates(through.apply(coords)))
-        companions.append(Matrix.from_columns(g.field, cols, rows=cross.cols))
+        coords = Matrix(g.field, [cross.row(p) for p in source.pivot_columns()], cross.cols)
+        companions.append(target.basis.transpose() @ through @ coords)
     return tuple(companions)
 
 
@@ -589,7 +584,7 @@ def properness_criteria(g: GMAlgebra, endo: EndoMap) -> CriteriaReport:
     compared against membership of ``endo`` in the memoized proper space;
     disagreement raises :class:`ConsistencyError`.
     """
-    _require_lie(g, endo)
+    require_lie(g.algebra, endo)
     return _criteria(g, endo)
 
 
@@ -642,39 +637,28 @@ def proper_maps_meet_criteria(g: GMAlgebra) -> bool:
 
 
 def _build_decomposition(g: GMAlgebra, parts: LiePresentation, endo: EndoMap):
-    """Derivation + central map splitting of ``endo``, built from the
-    companion maps of its components ``parts``; each part must satisfy its
-    presentation conditions."""
-    f = g.field
-    da, _, _, db = g.block_dims
-    comp_a, comp_b = companion_central_maps(g, parts)
-    d_parts = replace(
-        parts,
-        on_a=parts.on_a - comp_a,
-        on_b=parts.on_b - comp_b,
-        a_to_center_b=Matrix.zeros(f, db, da),
-        b_to_center_a=Matrix.zeros(f, da, db),
-    )
+    """Derivation + central map splitting of ``endo``, whose components
+    ``parts`` meet the criteria: C places the companions and the cross maps,
+    and D = ``endo`` - C.  Both must meet their presentation conditions."""
+    comp_a, comp_b = _companions(g, parts)
     c_parts = CentralPresentation(
         a_to_center_a=comp_a,
         b_to_center_a=parts.b_to_center_a,
         a_to_center_b=parts.a_to_center_b,
         b_to_center_b=comp_b,
     )
-    d_report = check_derivation_parts(g, d_parts)
-    c_report = check_central_parts(g, c_parts)
-    for report in (d_report, c_report):
+    c_map = EndoMap.from_flat(g.field, _central_flat(g, c_parts), g.algebra.dim)
+    d_map = endo - c_map
+    for report in (
+        check_derivation_parts(g, _read_lie_parts(g, d_map)),
+        check_central_parts(g, c_parts),
+    ):
         if not report.ok:
             raise ConsistencyError(
                 f"companion {report.kind} part violates condition {report.failed[0]}: "
                 f"{report.first_violation()}"
             )
-    d_map = _rebuild(g, d_parts, d_report, _lie_flat, is_derivation, "derivation")
-    c_map = _rebuild(
-        g, c_parts, c_report, _central_flat, is_central_commutator_free, "central map"
-    )
-    if d_map.matrix + c_map.matrix != endo.matrix:
-        raise ConsistencyError("decomposition parts do not sum to the map")
+    validate_split(g.algebra, endo, d_map, c_map)
     return d_map, c_map
 
 

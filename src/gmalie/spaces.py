@@ -57,6 +57,8 @@ __all__ = [
     "is_lie_derivation",
     "is_central_commutator_free",
     "is_proper",
+    "require_lie",
+    "validate_split",
     "has_lie_derivation_property",
 ]
 
@@ -115,6 +117,8 @@ class MapSpace:
         return self.space.dim
 
     def contains(self, endo: EndoMap) -> bool:
+        if endo.dim != self.algebra_dim or endo.matrix.field != self.space.field:
+            raise DimensionMismatch("endomorphism does not match the algebra")
         return self.space.contains_vector(endo.flatten())
 
     def basis_maps(self) -> tuple:
@@ -342,12 +346,7 @@ def is_proper(g, endo: EndoMap) -> ProperSplit:
     """
     a = _algebra_of(g)
     _require_odd(a)
-    _check_shape(a, endo)
-    defect = lie_defect(a, endo)
-    if defect is not None:
-        raise PreconditionError(
-            f"not a Lie derivation: bracket rule fails on basis pair {defect}"
-        )
+    require_lie(a, endo)
     der = _derivation_space(a)
     cen = _central_map_space(a)
     # derivation basis first: leftmost pivoting then gives a pure derivation
@@ -363,11 +362,21 @@ def is_proper(g, endo: EndoMap) -> ProperSplit:
     f, d = a.field, a.dim
     d_map = EndoMap.from_flat(f, der.space.from_coordinates(coeffs[: der.dim]), d)
     c_map = EndoMap.from_flat(f, cen.space.from_coordinates(coeffs[der.dim :]), d)
-    _validate_witness(a, endo, d_map, c_map)
+    validate_split(a, endo, d_map, c_map)
     return ProperSplit(proper=True, derivation=d_map, central=c_map)
 
 
-def _validate_witness(a, endo, d_map, c_map):
+def require_lie(a, endo: EndoMap):
+    """Refuse a map that breaks the bracket rule, naming the first pair."""
+    defect = lie_defect(a, endo)
+    if defect is not None:
+        raise PreconditionError(
+            f"not a Lie derivation: bracket rule fails on basis pair {defect}"
+        )
+
+
+def validate_split(a, endo: EndoMap, d_map: EndoMap, c_map: EndoMap):
+    """Check that ``endo`` = ``d_map`` + ``c_map``, a derivation plus a central map."""
     if d_map.matrix + c_map.matrix != endo.matrix:
         raise ConsistencyError("witness parts do not sum to the map")
     if derivation_defect(a, d_map) is not None:

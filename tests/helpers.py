@@ -41,9 +41,9 @@ from gmalie.algebra import (
     commutation_operator,
     commutator_span,
 )
-from gmalie.errors import Violation
+from gmalie.errors import PreconditionError, Violation
 from gmalie.gma import center_analysis
-from gmalie.linalg import Matrix, Subspace, _echelon, solve
+from gmalie.linalg import Matrix, Subspace, _echelon, inverse, solve
 from gmalie.morita import left_action_kernel, right_action_kernel
 from gmalie.presentation import LiePresentation, PresentationReport, extract_lie
 from gmalie.rows import bracket_system, product_system, solutions
@@ -468,7 +468,8 @@ def closure(a, members, op) -> Subspace:
 
 
 # -- the properness criteria, one map at a time -----------------------------------
-# Reference forms of presentation._criteria_witnesses (three loops) and of the
+# Reference forms of presentation._criteria_witnesses (three loops), of
+# presentation.companion_central_maps (a coordinate solve per column) and of the
 # trivial check's necessity scan (every basis Lie derivation that is_proper
 # accepts, extracted and tested on both cross-map ranges).
 
@@ -505,6 +506,36 @@ def reference_criteria_witnesses(g, parts):
         if pairs is not None:
             break
     return range_a, range_b, pairs
+
+
+def reference_companion_central_maps(g, parts):
+    """The companions of the two cross maps, column by column: the
+    coordinates of each cross image over the projected center of its target
+    block, taken through the center isomorphism (or its inverse) and
+    expanded over the other projected center."""
+    analysis = center_analysis(g)
+    if analysis.center_iso is None:
+        raise PreconditionError(
+            "companion maps need the center isomorphism (module not faithful)"
+        )
+    iso = analysis.center_iso
+    iso_inv = inverse(iso)
+    companions = []
+    for which, cross, source, target, through in (
+        ("first", parts.a_to_center_b, analysis.proj_b, analysis.proj_a, iso_inv),
+        ("second", parts.b_to_center_a, analysis.proj_a, analysis.proj_b, iso),
+    ):
+        cols = []
+        for i in range(cross.cols):
+            coords = source.coordinates(cross.column(i))
+            if coords is None:
+                raise PreconditionError(
+                    f"cross-map image of {which}-diagonal basis element {i} "
+                    "is outside the projected center"
+                )
+            cols.append(target.from_coordinates(through.apply(coords)))
+        companions.append(Matrix.from_columns(g.field, cols, rows=cross.cols))
+    return tuple(companions)
 
 
 def reference_necessity_on_basis(g) -> bool:

@@ -10,7 +10,7 @@ from gmalie.cli import main
 from gmalie.gma import center_analysis, gma_structure_tensor
 from gmalie.morita import left_action_kernel, right_action_kernel
 from gmalie.presentation import _criteria, _lie_flat
-from gmalie.spaces import is_proper, lie_defect
+from gmalie.spaces import is_proper, lie_defect, validate_split
 from gmalie.workspace import render_json
 
 from helpers import record_calls, record_structure_checks
@@ -102,6 +102,22 @@ def test_proper_on_a_proper_map(capsys, tmp_path):
     assert doc["criteria"]["oracle_agrees"] is True
 
 
+def test_proper_text_reports_an_inconclusive_criteria_verdict(capsys, tmp_path):
+    # tri2_GF5 transposed: M = 0 is not faithful, so the criteria cannot
+    # decide the zero map that the oracle splits
+    ws = json.loads(render_json(build_document("tri2_GF5")))
+    c = ws["contexts"]["G"]
+    c["a"], c["b"], c["m"], c["n"] = c["b"], c["a"], c["n"], c["m"]
+    c["pair_mn"], c["pair_nm"] = c["pair_nm"], c["pair_mn"]
+    ws["maps"] = {"zero": {"context": "G", "matrix": [[0] * 3] * 3}}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    code, out, _ = run(capsys, "proper", "--input", str(path), "--map", "zero")
+    assert code == 0
+    assert "verdict: proper\n" in out
+    assert "criteria verdict: inconclusive (module not faithful)\n" in out
+
+
 def test_proper_refuses_a_map_that_is_not_a_lie_derivation(capsys, tmp_path):
     code, out, err = run(capsys, "proper", "--input", _peirce_workspace(tmp_path), "--map", "not_lie")
     assert code == 2
@@ -110,14 +126,15 @@ def test_proper_refuses_a_map_that_is_not_a_lie_derivation(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "workspace, map_name, rebuilds",
-    [("peirce", "ad_e12_plus_trace", 2), ("example_sec4", "L_paper", 1)],
+    "workspace, map_name, splits",
+    [("peirce", "ad_e12_plus_trace", 2), ("example_sec4", "L_paper", 0)],
 )
-def test_proper_decides_each_fact_once(capsys, tmp_path, monkeypatch, workspace, map_name, rebuilds):
+def test_proper_decides_each_fact_once(capsys, tmp_path, monkeypatch, workspace, map_name, splits):
     # one oracle decision, which is also the one bracket-rule check: the
-    # criteria run ungated; the map is rebuilt once to verify its extraction
-    # and, on a proper verdict, once more for the derivation part; the
-    # criteria read M's faithfulness off the center analysis
+    # criteria run ungated; the map is rebuilt once, to verify its
+    # extraction, as the derivation part is L - C; on a proper verdict the
+    # oracle's witness and the criteria's split each pass the split check
+    # once; the criteria read M's faithfulness off the center analysis
     path = _peirce_workspace(tmp_path) if workspace == "peirce" else workspace
     calls = record_calls(
         monkeypatch,
@@ -125,6 +142,7 @@ def test_proper_decides_each_fact_once(capsys, tmp_path, monkeypatch, workspace,
         lie_defect,
         _lie_flat,
         _criteria,
+        validate_split,
         center_analysis,
         left_action_kernel,
         right_action_kernel,
@@ -133,7 +151,8 @@ def test_proper_decides_each_fact_once(capsys, tmp_path, monkeypatch, workspace,
     names = [name for name, _, _ in calls]
     assert names.count("is_proper") == 1
     assert names.count("lie_defect") == 1
-    assert names.count("_lie_flat") == rebuilds
+    assert names.count("_lie_flat") == 1
+    assert names.count("validate_split") == splits
     assert names.count("_criteria") == 1
     inside = [name for name, _, around in calls if around[-1:] == ("_criteria",)]
     assert not any(name.endswith("_action_kernel") for name in inside), inside
@@ -433,12 +452,9 @@ def test_fuzz_out_of_range_bounds_exit_two(capsys, argv):
         ("theorems", "--input", "tri2_Q", "--ldp-dim-cap", "-1"),
         ("theorems", "--input", "tri2_Q", "--budget", "-5"),
         ("analyze", "--input", "tri2_Q", "--budget", "-5"),
-        ("validate", "--input", "tri2_Q", "--budget", "-1"),
-        ("proper", "--input", "example_sec4", "--map", "L_paper", "--budget", "-1"),
         ("fuzz", "--count", "3", "--budget", "-1"),
     ],
-    ids=["theorems-cap", "theorems-budget", "analyze-budget", "validate-budget",
-         "proper-budget", "fuzz-budget"],
+    ids=["theorems-cap", "theorems-budget", "analyze-budget", "fuzz-budget"],
 )
 def test_negative_budget_and_cap_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -446,6 +462,22 @@ def test_negative_budget_and_cap_exit_two(capsys, argv):
     assert out == ""
     assert err.startswith("precondition failure: --")
     assert "must be non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--input", "tri2_Q", "--budget", "-1"),
+        ("proper", "--input", "example_sec4", "--map", "L_paper", "--budget", "-1"),
+    ],
+    ids=["validate-budget", "proper-budget"],
+)
+def test_budget_is_refused_where_no_scan_reads_it(capsys, argv):
+    # validate and proper enumerate nothing, so they take no --budget
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: unrecognized arguments: --budget")
 
 
 def test_zero_budget_and_cap_are_accepted(capsys):

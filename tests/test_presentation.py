@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,19 +14,23 @@ import gmalie.theorems
 from gmalie.algebra import _lie_generators
 from gmalie.catalog import EXAMPLE_NAMES, load_example
 from gmalie.constructions import (
+    dual_numbers,
     field_algebra,
     matrix_algebra,
     regular_bimodule,
+    transpose_context,
     triangular_context,
 )
 from gmalie.errors import PreconditionError, Violation
 from gmalie.fields import GF, QQ
 from gmalie.fuzzing import FuzzConfig, generate_contexts
 from gmalie.gma import assemble, center_analysis, is_trivial, peirce
-from gmalie.linalg import Matrix
+from gmalie.linalg import Matrix, Subspace
+from gmalie.morita import Bimodule
 from gmalie.presentation import (
     CentralPresentation,
     LiePresentation,
+    _build_decomposition,
     _central_flat,
     _criteria_rows,
     _criteria_witnesses,
@@ -50,10 +55,13 @@ from gmalie.spaces import (
     central_map_space,
     derivation_defect,
     derivation_space,
+    is_central_commutator_free,
     is_proper,
     lie_defect,
     lie_derivation_space,
     proper_space,
+    require_lie,
+    validate_split,
 )
 
 from helpers import (
@@ -62,6 +70,7 @@ from helpers import (
     reference_central_matrix,
     reference_central_pair_space,
     reference_central_parts_report,
+    reference_companion_central_maps,
     reference_criteria_witnesses,
     reference_derivation_parts_report,
     reference_lie_matrix,
@@ -261,6 +270,96 @@ def _characterization_contexts():
     for config in configs:
         for _, ctx in generate_contexts(config):
             yield assemble(ctx)
+
+
+def _outcome(companions, g, parts):
+    try:
+        return companions(g, parts)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def _twisted_dual_numbers():
+    """T(D, M, D) over GF(5) for D = F[x]/(x^2), with M = D on which the
+    right factor acts through the automorphism x -> 2x.  The center
+    isomorphism sends x to 3x, so unlike on every context above it is not
+    its own inverse."""
+    f = GF(5)
+    d = dual_numbers(f)
+    right = tuple(
+        tuple(tuple(f.mul(s, v) for v in d.structure[i][j]) for j, s in enumerate((1, 2)))
+        for i in range(2)
+    )
+    return assemble(triangular_context(d, Bimodule(d, d, 2, d.structure, right), d))
+
+
+def test_companion_maps_match_the_column_by_column_reference():
+    # one product through the center isomorphism, its refusal read off the
+    # criteria rows; refusals (faithfulness first, then the first range
+    # failure) and companions alike equal the coordinate solve per column
+    twisted = _twisted_dual_numbers()
+    assert center_analysis(twisted).center_iso.to_lists() == [[1, 0], [0, 3]]
+    compared = refused = 0
+    for g in chain(_characterization_contexts(), [twisted]):
+        for endo in lie_derivation_space(g).basis_maps():
+            parts = _read_lie_parts(g, endo)
+            got = _outcome(companion_central_maps, g, parts)
+            assert got == _outcome(reference_companion_central_maps, g, parts)
+            compared += 1
+            refused += isinstance(got, str)
+    assert compared > refused > 0
+
+
+def test_proper_criteria_decide_each_fact_once(monkeypatch):
+    # the Lie gate, the criteria rows and the split check each run once on a
+    # proper verdict; the companions take their refusal from the criteria
+    # rows and need no coordinate solve
+    g = _mat2_peirce()
+    endo = _sum_of_basis(g, lie_derivation_space(g))
+    parts = extract_lie(g, endo)
+    calls = record_calls(
+        monkeypatch,
+        require_lie,
+        lie_defect,
+        _criteria_witnesses,
+        validate_split,
+        derivation_defect,
+        is_central_commutator_free,
+        companion_central_maps,
+        _build_decomposition,
+        (Subspace, Subspace.coordinates),
+    )
+
+    def opened(name):
+        return [around for n, _, around in calls if n == name]
+
+    crit = properness_criteria(g, endo)
+    assert crit.verdict == "proper" and not crit.central.matrix.is_zero()
+    assert opened("lie_defect") == [("require_lie",)]
+    assert opened("_criteria_witnesses") == [()]
+    for name in ("derivation_defect", "is_central_commutator_free"):
+        assert opened(name) == [("_build_decomposition", "validate_split")]
+    gmalie.presentation.companion_central_maps(g, parts)
+    assert opened("_criteria_witnesses")[1:] == [("companion_central_maps",)]
+    assert not any(
+        "companion_central_maps" in around or "_build_decomposition" in around
+        for around in opened("coordinates")
+    )
+
+
+def test_criteria_are_inconclusive_when_the_module_is_not_faithful():
+    # M = 0 here, so the criteria cannot conclude, while the oracle accepts
+    f = field_algebra(GF(3))
+    g = assemble(transpose_context(triangular_context(f, regular_bimodule(f), f)))
+    basis = lie_derivation_space(g).basis_maps()
+    assert len(basis) == 4
+    for endo in basis:
+        crit = properness_criteria(g, endo)
+        assert crit.m_faithful is False
+        assert crit.verdict is None
+        assert crit.derivation is None and crit.central is None
+        assert crit.oracle_agrees is None
+        assert is_proper(g, endo).proper
 
 
 def test_the_criteria_cut_the_proper_maps_out_of_the_lie_derivations():

@@ -13,7 +13,7 @@ from gmalie.constructions import (
     triangular_context,
     upper_triangular_algebra,
 )
-from gmalie.errors import CharacteristicTwoError, PreconditionError
+from gmalie.errors import CharacteristicTwoError, DimensionMismatch, PreconditionError
 from gmalie.fields import GF, QQ, Field
 from gmalie.gma import assemble, peirce
 from gmalie import spaces
@@ -128,6 +128,20 @@ def test_bundled_map_is_not_proper():
     split = is_proper(g, endo)
     assert not split.proper
     assert split.derivation is None and split.central is None
+
+
+def test_map_space_refuses_a_map_over_another_field():
+    # 1/2 would otherwise be read as 3 mod 5
+    space = proper_space(matrix_algebra(GF(5), 2))
+    half = EndoMap(Matrix(QQ, [[Fraction(1, 2), 0, 0, 0]] + [[0] * 4] * 3))
+    with pytest.raises(DimensionMismatch, match="endomorphism does not match the algebra"):
+        space.contains(half)
+
+
+def test_map_space_refuses_a_map_of_another_size():
+    space = proper_space(matrix_algebra(GF(5), 2))
+    with pytest.raises(DimensionMismatch, match="endomorphism does not match the algebra"):
+        space.contains(EndoMap.zero(GF(5), 3))
 
 
 def test_triangular_basis_maps_all_proper():
