@@ -433,6 +433,40 @@ def _lie_generators(a: FDAlgebra) -> tuple:
     return _bracket_walk(a).members
 
 
+@_memo
+def _peirce_weights(a: FDAlgebra) -> tuple | None:
+    """The weight of each basis vector in the Peirce grading that the basis
+    shows, or None when every weight is zero.
+
+    E is the set of idempotent basis vectors.  When they are pairwise
+    orthogonal, at least two and sum to the unit, and every basis vector b
+    lies in one Peirce block e_i A e_j (e_i b = b = b e_j for one i and one
+    j in E), b has the weight eps_i - eps_j in Z^|E|, and products and
+    brackets add weights.  Otherwise E = {1}, and every weight is zero.  A
+    weight w is stored as the int sum w_t 5^t: a sum of two weights has
+    entries in [-2, 2], which base 5 keeps apart.  Below 3 dimensions a
+    grading has no room for a nonzero weight, so none is looked for."""
+    st, d, f = a.structure, a.dim, a.field
+    if d < 3:
+        return None
+    basis = [a.basis_vector(b) for b in range(d)]
+    idem = [b for b in range(d) if st[b][b] == basis[b]]
+    if (
+        len(idem) < 2
+        or a.unit != tuple(f.one if b in idem else f.zero for b in range(d))
+        or any(st[i][j] != a.zero() for i in idem for j in idem if i != j)
+    ):
+        return None
+    weights = []
+    for b in range(d):
+        left = [t for t, i in enumerate(idem) if st[i][b] == basis[b]]
+        right = [t for t, j in enumerate(idem) if st[b][j] == basis[b]]
+        if len(left) != 1 or len(right) != 1:
+            return None
+        weights.append(5 ** left[0] - 5 ** right[0])
+    return tuple(weights) if any(weights) else None
+
+
 def _commutation_rows(a: FDAlgebra, members) -> Matrix:
     """Stacked matrix of x -> [e_i, x] over the i in ``members``.
 

@@ -268,13 +268,15 @@ def _null_vectors(field, n, flipped):
     return vectors
 
 
-def sparse_kernel(field, n: int, rows) -> "Subspace":
+def sparse_kernel(field, n: int, rows, unknowns=None) -> "Subspace":
     """Canonical basis of {x in F^n : every row annihilates x}, the rows
-    given sparse as (columns, coefficients) pairs.
+    given sparse as (columns, coefficients) pairs.  With ``unknowns``, a
+    list of columns, only the x that are zero off them; no row may hold
+    another column.
 
     Rows that share a column are joined into one block by a union-find over
     the columns, and each block is eliminated once, over its own columns
-    only.  The lifted block kernels have disjoint supports, and a column
+    only.  The lifted block kernels have disjoint supports, and an unknown
     that no row touches is free, so these vectors together with the unit
     vectors of the free columns, sorted by pivot, are already the RREF
     basis that one dense elimination of all the rows would give.
@@ -308,7 +310,7 @@ def sparse_kernel(field, n: int, rows) -> "Subspace":
             for c, x in zip(cols, v):
                 vec[c] = x
             vectors.append(vec)
-    for c in range(n):
+    for c in range(n) if unknowns is None else unknowns:
         if c not in touched:
             vec = [z] * n
             vec[c] = o

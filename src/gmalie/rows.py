@@ -41,18 +41,31 @@ def add_row(rows: list, f, tag, terms):
         rows.append((tag, cols, tuple(row[c] for c in cols)))
 
 
-def leibniz_rows(a: FDAlgebra, terms: TensorTerms, pairs) -> tuple:
+def leibniz_rows(a: FDAlgebra, terms: TensorTerms, pairs, weights=None) -> tuple:
     """T(x_i x_j) = T(x_i) x_j + x_i T(x_j) over the product whose nonzero
-    terms are ``terms``: one row per output coordinate k, tagged (i, j)."""
+    terms are ``terms``: one row per output coordinate k, tagged (i, j).
+
+    With ``weights``, the weight of each basis vector in a grading that
+    the product respects, only the rows of the k with wt(k) = wt(i) +
+    wt(j): every unknown (r, c) in the row of k has the weight wt(r) -
+    wt(c) = wt(k) - wt(i) - wt(j), so these rows hold every unknown of
+    weight zero, and no other."""
     f, d, neg = a.field, a.dim, a.field.neg
     # -T_{p i} t[p][j][k] and -T_{q j} t[i][q][k], as (p*d, -s) and (q*d, -s)
     left = [[[(p * d, neg(s)) for p, s in col] for col in plane] for plane in terms.left]
     right = [[[(q * d, neg(s)) for q, s in col] for col in plane] for plane in terms.right]
+    outputs = range(d)
+    if weights is not None:
+        by_weight = {}
+        for k, w in enumerate(weights):
+            by_weight.setdefault(w, []).append(k)
     rows = []
     for i, j in pairs:
         tag = (i, j)
         product, by_left, by_right = terms.out[i][j], left[j], right[i]
-        for k in range(d):
+        if weights is not None:
+            outputs = by_weight.get(weights[i] + weights[j], ())
+        for k in outputs:
             row = [(k * d + l, s) for l, s in product]
             row += [(pd + i, s) for pd, s in by_left[k]]
             row += [(qd + j, s) for qd, s in by_right[k]]
@@ -60,15 +73,17 @@ def leibniz_rows(a: FDAlgebra, terms: TensorTerms, pairs) -> tuple:
     return tuple(rows)
 
 
-def product_system(a: FDAlgebra, members) -> tuple:
-    """Product-rule rows of the pairs (s, j), s in ``members``, all j."""
+def product_system(a: FDAlgebra, members, weights=None) -> tuple:
+    """Product-rule rows of the pairs (s, j), s in ``members``, all j; with
+    ``weights``, only those that ``leibniz_rows`` keeps for weight zero."""
     pairs = [(s, j) for s in members for j in range(a.dim)]
-    return leibniz_rows(a, _product_terms(a), pairs)
+    return leibniz_rows(a, _product_terms(a), pairs, weights)
 
 
-def bracket_system(a: FDAlgebra, members) -> tuple:
+def bracket_system(a: FDAlgebra, members, weights=None) -> tuple:
     """Bracket-rule rows of the pairs i < j with i or j in ``members``; the
-    pair (j, i) gives the negated rows, and (i, i) none."""
+    pair (j, i) gives the negated rows, and (i, i) none.  With ``weights``,
+    only those that ``leibniz_rows`` keeps for weight zero."""
     members = set(members)
     pairs = [
         (i, j)
@@ -76,7 +91,7 @@ def bracket_system(a: FDAlgebra, members) -> tuple:
         for j in range(i + 1, a.dim)
         if i in members or j in members
     ]
-    return leibniz_rows(a, _bracket_terms(a), pairs)
+    return leibniz_rows(a, _bracket_terms(a), pairs, weights)
 
 
 @_memo
@@ -152,10 +167,17 @@ def lift(rows, n, d, off, tag) -> tuple:
     )
 
 
-def solutions(a: FDAlgebra, rows) -> Subspace:
+def solutions(a: FDAlgebra, rows, weights=None) -> Subspace:
     """vec(L) of the maps L of ``a`` that every row annihilates, solved one
-    independent block of rows at a time."""
-    return sparse_kernel(a.field, a.dim**2, ((c, x) for _, c, x in rows))
+    independent block of rows at a time.  With ``weights``, the weight of
+    each basis vector, only the maps of weight zero: entry (r, c) is an
+    unknown when wt(r) = wt(c) and zero otherwise, and no row may hold
+    another entry."""
+    d = a.dim
+    unknowns = None
+    if weights is not None:
+        unknowns = [r * d + c for r in range(d) for c in range(d) if weights[r] == weights[c]]
+    return sparse_kernel(a.field, d * d, ((c, x) for _, c, x in rows), unknowns)
 
 
 def failing_tags(f, rows, flat):

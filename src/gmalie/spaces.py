@@ -7,11 +7,12 @@ of maps is a subspace of F^(d*d) under row-major flattening (the matrix
 entry (r, c) lands at flat index r*d + c).  The rules are tagged rows over
 that flattening, built, solved and read by ``rows``: the derivation and
 Lie-derivation spaces solve the rows of a generating set (over GF(p) on a
-dense basis, for the values on that set), the central maps are built in
-closed form from the center and the commutator span, and the pointwise
-checks read every row.  All operations here refuse to run over
-fields of characteristic two: the decomposition theory needs two-torsion
-free modules, and over GF(2) nothing nonzero is.
+dense basis, for the values on that set; on a basis that shows a Peirce
+grading, for the maps of weight zero only, the rest being inner), the
+central maps are built in closed form from the center and the commutator
+span, and the pointwise checks read every row.  All operations here refuse
+to run over fields of characteristic two: the decomposition theory needs
+two-torsion free modules, and over GF(2) nothing nonzero is.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .algebra import (
     _bracket_terms,
     _bracket_walk,
     _memo,
+    _peirce_weights,
     _product_terms,
     _product_walk,
     center,
@@ -31,7 +33,7 @@ from .algebra import (
 )
 from .errors import CharacteristicTwoError, ConsistencyError, DimensionMismatch, PreconditionError
 from .gma import GMAlgebra
-from .linalg import Matrix, Subspace, kernel, solve, subspace_sum
+from .linalg import Matrix, Subspace, _echelon, kernel, solve, subspace_sum
 from .rows import (
     bracket_rows,
     bracket_system,
@@ -164,6 +166,21 @@ def _require_odd(a: FDAlgebra):
 # maps for the bracket rule.  When the floor is all of the solutions (every
 # derivation inner, every Lie derivation proper), a few batches of rows
 # prove it and the rest are never built.
+#
+# Every other algebra takes the row solve, graded by the idempotents its
+# basis shows (``algebra._peirce_weights``): matrix units, triangular
+# matrix units and the block bases of assembled contexts whose corners show
+# their units.  The map entry (r, c) has the weight wt(r) - wt(c), and each
+# row of either rule holds the entries of one weight, so both spaces split
+# by weight.  A Lie derivation L of weight w != 0 is inner: for i with
+# w_i != 0, [ad(e_i), L] = w_i L, and [L, ad(x)] = ad(L(x)) for every Lie
+# derivation, so L = -ad(L(e_i)) / w_i, where w_i is +-1 or +-2 and
+# characteristic != 2 inverts it.  So Der = ad(A) + Der_0 and Lie =
+# ad(A) + Lie_0: only the rows and entries of weight zero are solved, 45
+# of 625 entries on M_5 in matrix units, and each A_w, w != 0, gives its
+# ad(A_w) with no solve.  The weights hold disjoint columns, so the RREF
+# bases merge by pivot.  A basis that shows no grading has E = {1}: every
+# entry has weight zero, and the solve is the plain row solve.
 
 _DENSE_SHARE = 4  # solve over the values when nonzeros * 4 >= d^3
 _DENSE_MIN_DIM = 3
@@ -215,13 +232,47 @@ def _inner_derivations(a: FDAlgebra) -> Subspace:
     return Subspace(a.field, d * d, vectors)
 
 
+@_memo
+def _graded_inner(a: FDAlgebra) -> tuple:
+    """(pivot, vector) for every vector of the RREF bases of ad(A_w) over
+    the weights w != 0 of ``_peirce_weights``, in vec(L).  ad(e_b) has the
+    weight of b, and its vector [e_b, e_c]_r at r*d + c is zero off the
+    columns of that weight, so each A_w is eliminated over its own
+    columns."""
+    weights, bracket, d, z = _peirce_weights(a), _bracket_tensor(a), a.dim, a.field.zero
+    columns, members = {}, {}
+    for col in range(d * d):
+        w = weights[col // d] - weights[col % d]
+        if w:
+            columns.setdefault(w, []).append(col)
+    for b, w in enumerate(weights):
+        if w:
+            members.setdefault(w, []).append(b)
+    out = []
+    for w, group in members.items():
+        cols = columns[w]
+        data = [[bracket[b][col % d][col // d] for col in cols] for b in group]
+        for row, pivot in zip(*_echelon(a.field, data)):
+            vec = [z] * (d * d)
+            for col, x in zip(cols, row):
+                vec[col] = x
+            out.append((cols[pivot], tuple(vec)))
+    return tuple(out)
+
+
 def _rule_space(a: FDAlgebra, lie: bool) -> MapSpace:
     terms, walk, pairs, system = _rule(a, lie)
     if _dense(a, terms):
         space = value_solutions(a, terms, walk, pairs, _floor(a, lie))
         if space is not None:
             return MapSpace(a.dim, space)
-    return MapSpace(a.dim, solutions(a, system(a, walk.members)))
+    weights = _peirce_weights(a)
+    space = solutions(a, system(a, walk.members, weights), weights)
+    if weights is not None:
+        # the weights hold disjoint columns: the RREF bases merge by pivot
+        rows = sorted([*zip(space.pivot_columns(), space.basis.entries), *_graded_inner(a)])
+        space = Subspace(a.field, a.dim**2, [vec for _, vec in rows], _reduced=True)
+    return MapSpace(a.dim, space)
 
 
 @_memo

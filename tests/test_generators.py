@@ -29,6 +29,7 @@ from gmalie.algebra import (
     _facts,
     _generators,
     _lie_generators,
+    _peirce_weights,
     center,
     central_ideal_subspace,
     commutation_operator,
@@ -65,7 +66,9 @@ from gmalie.spaces import (
     _derivation_space,
     _lie_derivation_space,
     derivation_defect,
+    derivation_space,
     is_central_commutator_free,
+    lie_derivation_space,
 )
 
 from helpers import (
@@ -364,13 +367,25 @@ def test_values_solve_falls_back_when_no_slot_fits(monkeypatch):
     assert [name for name, _, _ in calls] == ["value_solutions", "sparse_kernel"] * 2
 
 
+def _t2_over_its_unit(f):
+    """T_2 in the basis 1, e12, e22: two idempotent basis vectors that are
+    not orthogonal, so the basis shows no grading."""
+    e, z = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0)
+    tensor = [[e[0], e[1], e[2]], [e[1], z, e[1]], [e[2], z, e[2]]]
+    return FDAlgebra(f, 3, tensor, e[0])
+
+
+def _peirce_m5(f):
+    e11 = tuple(f.one if i == 0 else f.zero for i in range(25))
+    return assemble(peirce(matrix_algebra(f, 5), e11)).algebra
+
+
 def test_dense_bases_take_the_values_solve_and_sparse_bases_the_rows(monkeypatch):
     # T_5 over GF(3) in a random basis, as the benchmark's T5_GF3~rand, has
     # 3 generators and a tensor three fifths nonzero; the Peirce context of
     # M_5 over GF(3) in its block basis has 9 and is 1% nonzero
     dense = _twin(upper_triangular_algebra, 5, 3, seed=15)
-    e11 = tuple(GF(3).one if i == 0 else GF(3).zero for i in range(25))
-    sparse = assemble(peirce(matrix_algebra(GF(3), 5), e11)).algebra
+    sparse = _peirce_m5(GF(3))
     _facts.cache_clear()
     calls = record_calls(monkeypatch, value_solutions, sparse_kernel)
     for a, solve in ((dense, "value_solutions"), (sparse, "sparse_kernel")):
@@ -378,6 +393,21 @@ def test_dense_bases_take_the_values_solve_and_sparse_bases_the_rows(monkeypatch
         _derivation_space(a)
         _lie_derivation_space(a)
         assert [name for name, _, _ in calls] == [solve, solve]
+    # the row solve takes the entries of weight zero in the grading that the
+    # basis shows, 2n^2 - n of the n^4 on M_n in matrix units (the Peirce
+    # context's block basis is M_5's); with no grading shown, E = {1} and
+    # every entry is an unknown
+    graded = [(sparse, 45), (matrix_algebra(GF(5), 3), 15), (matrix_algebra(QQ, 4), 28)]
+    flat = [(truncated_polynomial_algebra(GF(3), 4), None), (_t2_over_its_unit(QQ), None)]
+    for a, unknowns in graded + flat:
+        _facts.cache_clear()
+        del calls[:]
+        _derivation_space(a)
+        _lie_derivation_space(a)
+        assert (_peirce_weights(a) is None) == (unknowns is None)
+        assert [name for name, _, _ in calls] == ["sparse_kernel"] * 2
+        solved = [args[3] and len(args[3]) for _, args, _ in calls]
+        assert solved == [unknowns] * 2
 
 
 def test_a_floor_larger_than_the_solutions_is_refused():
@@ -389,3 +419,35 @@ def test_a_floor_larger_than_the_solutions_is_refused():
     assert lie.dim == _derivation_space(a).dim + 1
     with pytest.raises(ConsistencyError, match="known solutions"):
         _values_solve(a, lie=False, floor=lie)
+
+
+def _rows_failing_a_vector(rows, vectors, p, chunk=1024) -> list:
+    """Tags of the rows with a nonzero product mod p against some vector:
+    every vector in one pass over the rows, a chunk of rows at a time as a
+    dense numpy block."""
+    basis = np.array(vectors, dtype=np.int64).T
+    failing = []
+    for start in range(0, len(rows), chunk):
+        part = rows[start : start + chunk]
+        block = np.zeros((len(part), basis.shape[0]), dtype=np.int64)
+        for r, (_, cols, coeffs) in enumerate(part):
+            block[r, list(cols)] = coeffs
+        bad = (block @ basis % p).any(axis=1)
+        failing += [part[r][0] for r in np.flatnonzero(bad)]
+    return failing
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["block_basis", "random_1", "random_2"])
+def test_peirce_m5_spaces_obey_every_rule_row(seed):
+    # M_5's Peirce context over GF(3), d = 25: in its block basis, the
+    # graded solve's largest case, and in two random bases, which take the
+    # values solve; dim Der M_n = n^2 - 1 and dim Lie M_n = n^2 in any basis
+    f = GF(3)
+    a = _peirce_m5(f)
+    if seed is not None:
+        tensor, unit = random_basis_tensor(a.structure, a.unit, 3, random.Random(seed))
+        a = FDAlgebra(f, 25, tensor, unit)
+    der, lie = derivation_space(a), lie_derivation_space(a)
+    assert (der.dim, lie.dim) == (24, 25)
+    for space, rows in ((der, product_rows(a)), (lie, bracket_rows(a))):
+        assert _rows_failing_a_vector(rows, space.space.basis.entries, 3) == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmalie.algebra import FDAlgebra, _facts, _generators, _lie_generators
+from gmalie.algebra import FDAlgebra, _facts, _generators, _lie_generators, _peirce_weights
 from gmalie.catalog import load_example
 from gmalie.constructions import (
     dual_numbers,
@@ -296,8 +296,13 @@ def test_oracle_canonicalizes_no_scalar_inside_sparse_kernel(monkeypatch, field)
     assert solves() == 2
     assert [c for c in calls if c[0] == "of" and "sparse_kernel" in c[2]] == []
     assert [c for c in calls if c[0] == "__init__" and "sparse_kernel" in c[2]] == []
-    blocks = _column_blocks(product_system(a, _generators(a)))
-    blocks += _column_blocks(bracket_system(a, _lie_generators(a)))
+    # the rows of weight zero in the Peirce grading that the basis shows:
+    # T_4 in matrix units is graded, and a random basis shows no grading
+    # and keeps every row of the generating set
+    weights = _peirce_weights(a)
+    assert (weights is None) == field.is_prime_field
+    blocks = _column_blocks(product_system(a, _generators(a), weights))
+    blocks += _column_blocks(bracket_system(a, _lie_generators(a), weights))
     assert blocks >= 2
     assert len(inside("_echelon")) == blocks
     # every null space the oracle takes through kernel is one elimination
